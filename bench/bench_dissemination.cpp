@@ -18,8 +18,8 @@
 
 #include "consistency/secondary.h"
 #include "runner.h"
+#include "runtime/fault.h"
 #include "runtime/sim_runtime.h"
-#include "sim/fault.h"
 
 using namespace oceanstore;
 
@@ -146,6 +146,7 @@ pushMany(bench::BenchContext &ctx, std::size_t replicas,
     NetworkConfig ncfg;
     ncfg.jitter = 0.05;
     Network net(sim, ncfg);
+    SimRuntime rt(sim, net);
 
     // Bench guard for the fault-injection layer: with a default
     // (all-zero) FaultPlan armed, every send pays exactly one null
@@ -153,7 +154,7 @@ pushMany(bench::BenchContext &ctx, std::size_t replicas,
     // the plain tree_push case proves the hooks are free when off.
     std::unique_ptr<FaultInjector> inj;
     if (arm_noop_injector) {
-        inj = std::make_unique<FaultInjector>(sim, net, FaultPlan{});
+        inj = std::make_unique<FaultInjector>(rt, FaultPlan{});
         inj->arm();
     }
 
@@ -165,7 +166,6 @@ pushMany(bench::BenchContext &ctx, std::size_t replicas,
     SecondaryConfig cfg;
     cfg.treePush = tree_push;
     cfg.antiEntropyPeriod = 0.5;
-    SimRuntime rt(sim, net);
     SecondaryTier tier(rt, pos, cfg);
     tier.startAntiEntropy();
 

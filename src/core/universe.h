@@ -48,7 +48,7 @@
 #include "plaxton/mesh.h"
 #include "runtime/runtime.h"
 #include "runtime/threaded_runtime.h"
-#include "sim/churn.h"
+#include "runtime/churn.h"
 #include "storage/node_storage.h"
 #include "util/check.h"
 #include "util/retry.h"
@@ -261,7 +261,7 @@ class Universe : public NodeLifecycle
     void restartPrimary(unsigned rank);
 
     /**
-     * NodeLifecycle (sim/churn.h): failure injectors route node
+     * NodeLifecycle (runtime/churn.h): failure injectors route node
      * transitions here so link state and storage stay symmetric.
      * NodeIds of secondary servers and their co-located archival
      * servers map to crashServer/restartServer; primary replicas to

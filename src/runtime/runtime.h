@@ -19,6 +19,11 @@
  *    loopback transport with per-link FIFO queues and socket-ready
  *    framing — compiled functional only under OCEANSTORE_THREADED.
  *
+ * Both backends take every link decision (latency, drops, faults,
+ * liveness, partitions, accounting) from one LinkModel
+ * (sim/link_model.h), so a FaultInjector armed on either sees the
+ * same substrate.
+ *
  * The interface reuses the simulator's vocabulary types (SimTime in
  * seconds, EventId, Message, SimNode) so the adapter adds no
  * translation layer; on the threaded backend SimTime is wall-clock
@@ -138,8 +143,9 @@ class Runtime
 
     /**
      * Send one payload to every node in @p tos.  Semantically a
-     * send() per destination (per-link accounting, liveness checks),
-     * but the payload is stored once and shared by reference.
+     * send() per destination (per-link accounting, drop and fault
+     * decisions, liveness checks), but the payload is stored once
+     * and shared by reference.
      */
     virtual void multicast(NodeId from, const std::vector<NodeId> &tos,
                            Message msg) = 0;
@@ -162,6 +168,18 @@ class Runtime
 
     /** True when the node is up. */
     virtual bool isUp(NodeId n) const = 0;
+
+    /** Messages are only delivered within one partition (checked at
+     *  arrival); every node starts in partition 0. */
+    virtual void setPartition(NodeId n, int partition) = 0;
+    /** Everyone back to partition 0. */
+    virtual void healPartitions() = 0;
+    /** Move every node in partition @p b into partition @p a. */
+    virtual void heal(int a, int b) = 0;
+
+    /** Attach (nullptr: detach) the fault hook every transmission
+     *  from a live sender consults (FaultInjector, runtime/fault.h). */
+    virtual void setFaultInjector(FaultHook *hook) = 0;
 
     /** Total payload+header bytes accepted for transmission. */
     virtual std::uint64_t totalBytes() const = 0;

@@ -9,10 +9,9 @@
  * byte-identically: the same seeds produce the same event order,
  * metric values and trace hashes as before the seam existed.
  *
- * The adapter does not own the simulator or network; tests and the
- * Universe keep constructing those directly (for partitions, fault
- * injectors, flight accounting) and wrap them when handing a Runtime
- * to the protocol tiers.
+ * The adapter does not own the simulator or network; the caller
+ * constructs both and wraps them when handing a Runtime to the
+ * protocol tiers.
  */
 
 #ifndef OCEANSTORE_RUNTIME_SIM_RUNTIME_H
@@ -96,6 +95,11 @@ class SimRuntime final : public Runtime
     void setUp(NodeId n) override { net_.setUp(n); }
     bool isUp(NodeId n) const override { return net_.isUp(n); }
 
+    void setPartition(NodeId n, int p) override { net_.setPartition(n, p); }
+    void healPartitions() override { net_.healPartitions(); }
+    void heal(int a, int b) override { net_.heal(a, b); }
+    void setFaultInjector(FaultHook *f) override { net_.setFaultInjector(f); }
+
     std::uint64_t totalBytes() const override { return net_.totalBytes(); }
 
     std::uint64_t
@@ -158,7 +162,7 @@ class SimRuntime final : public Runtime
     /** The wrapped simulator, for sim-only instrumentation. */
     Simulator &sim() { return sim_; }
 
-    /** The wrapped network, for partitions/faults/accounting. */
+    /** The wrapped network, for sim-only accounting. */
     Network &net() { return net_; }
 
   private:

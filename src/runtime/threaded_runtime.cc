@@ -1,9 +1,5 @@
 #include "runtime/threaded_runtime.h"
 
-#include "util/logging.h"
-
-#ifdef OCEANSTORE_THREADED
-
 #include <algorithm>
 #include <cmath>
 
@@ -12,6 +8,7 @@
 #include "obs/trace.h"
 #include "runtime/framing.h"
 #include "util/check.h"
+#include "util/logging.h"
 
 namespace oceanstore {
 
@@ -65,9 +62,12 @@ linkKey(NodeId from, NodeId to)
 ThreadedRuntime::ThreadedRuntime(ThreadedConfig cfg)
     : cfg_(cfg),
       start_(std::chrono::steady_clock::now()),
-      rng_(cfg.seed),
+      link_(cfg),
       wheel_(wheelSlots)
 {
+    if (!available())
+        fatal("ThreadedRuntime requires an OCEANSTORE_THREADED build "
+              "(cmake -DOCEANSTORE_THREADED=ON)");
     OS_CHECK(cfg_.workers >= 1, "ThreadedRuntime: needs >= 1 worker");
     OS_CHECK(cfg_.tick > 0.0, "ThreadedRuntime: tick must be > 0");
     rtMetrics(); // intern ids before threads exist
@@ -210,101 +210,112 @@ NodeId
 ThreadedRuntime::addNode(SimNode *node, double x, double y)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    nodes_.push_back(node);
-    pos_.emplace_back(x, y);
-    up_.push_back(true);
-    return static_cast<NodeId>(nodes_.size() - 1);
+    return link_.addNode(node, x, y);
 }
 
 void
 ThreadedRuntime::removeNode(NodeId id)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    OS_CHECK(id < nodes_.size(), "ThreadedRuntime: unknown node");
-    nodes_[id] = nullptr;
+    link_.removeNode(id);
 }
 
 std::size_t
 ThreadedRuntime::nodeCount() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return nodes_.size();
-}
-
-double
-ThreadedRuntime::latencyLocked(NodeId a, NodeId b) const
-{
-    if (a == b)
-        return 0.0;
-    double dx = pos_[a].first - pos_[b].first;
-    double dy = pos_[a].second - pos_[b].second;
-    return cfg_.baseLatency +
-           cfg_.latencyPerUnit * std::sqrt(dx * dx + dy * dy);
+    return link_.size();
 }
 
 double
 ThreadedRuntime::latency(NodeId a, NodeId b) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return latencyLocked(a, b);
+    return link_.latency(a, b);
 }
 
 double
 ThreadedRuntime::distance(NodeId a, NodeId b) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    double dx = pos_[a].first - pos_[b].first;
-    double dy = pos_[a].second - pos_[b].second;
-    return std::sqrt(dx * dx + dy * dy);
+    return link_.distance(a, b);
 }
 
 double
 ThreadedRuntime::xOf(NodeId n) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return pos_[n].first;
+    return link_.xOf(n);
 }
 
 double
 ThreadedRuntime::yOf(NodeId n) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return pos_[n].second;
+    return link_.yOf(n);
 }
 
 void
 ThreadedRuntime::setDown(NodeId n)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    up_[n] = false;
+    link_.setDown(n);
 }
 
 void
 ThreadedRuntime::setUp(NodeId n)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    up_[n] = true;
+    link_.setUp(n);
 }
 
 bool
 ThreadedRuntime::isUp(NodeId n) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return up_[n];
+    return link_.isUp(n);
+}
+
+void
+ThreadedRuntime::setPartition(NodeId n, int partition)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    link_.setPartition(n, partition);
+}
+
+void
+ThreadedRuntime::healPartitions()
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    link_.healPartitions();
+}
+
+void
+ThreadedRuntime::heal(int a, int b)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    link_.heal(a, b);
+}
+
+void
+ThreadedRuntime::setFaultInjector(FaultHook *hook)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    link_.setFaultInjector(hook);
 }
 
 std::uint64_t
 ThreadedRuntime::totalBytes() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return totalBytes_;
+    return link_.totalBytes();
 }
 
 std::uint64_t
 ThreadedRuntime::totalMessages() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return totalMessages_;
+    return link_.totalMessages();
 }
 
 std::size_t
@@ -356,46 +367,29 @@ ThreadedRuntime::stats() const
     return s;
 }
 
-double
-ThreadedRuntime::drawDueLocked(NodeId from, NodeId to,
-                               std::size_t bytes)
-{
-    // The jitter draw happens here, before any tracing decision, so
-    // the rng_ stream is identical whether or not a tracer is
-    // attached — mirroring the sim network's draw-then-trace order.
-    double lat = latencyLocked(from, to);
-    if (cfg_.jitter > 0)
-        lat *= rng_.uniform(1.0 - cfg_.jitter, 1.0 + cfg_.jitter);
-    if (cfg_.bandwidth > 0)
-        lat += static_cast<double>(bytes) / cfg_.bandwidth;
-    return nowImpl() + lat;
-}
-
 void
-ThreadedRuntime::enqueueDelivery(
-    NodeId from, NodeId to, const std::shared_ptr<const Message> &msg,
-    const std::shared_ptr<const Bytes> &frame, double due)
+ThreadedRuntime::enqueueDeliveries(
+    NodeId from, const std::shared_ptr<const Message> &msg,
+    const std::shared_ptr<const Bytes> &frame, std::vector<Pending> &legs)
 {
-    std::uint64_t key = linkKey(from, to);
     bool armed = false;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        Pending p;
-        p.msg = msg;
-        p.frame = frame;
-        p.due = due;
-        p.sentAt = nowImpl();
-        p.to = to;
-        Link &l = links_[key];
-        l.q.push_back(std::move(p));
-        inFlight_++;
-        linkQueuedBytes_ += msg->totalBytes();
-        // The drain timer is re-armed from drainLink for each
-        // subsequent queue head; only an idle link arms here.
-        if (!l.armed) {
-            l.armed = true;
-            armLinkLocked(key, l.q.front().due);
-            armed = true;
+        for (Pending &p : legs) {
+            std::uint64_t key = linkKey(from, p.to);
+            Link &l = links_[key];
+            p.msg = msg;
+            p.frame = frame;
+            l.q.push_back(std::move(p));
+            inFlight_++;
+            linkQueuedBytes_ += msg->totalBytes();
+            // The drain timer is re-armed from drainLink for each
+            // subsequent queue head; only an idle link arms here.
+            if (!l.armed) {
+                l.armed = true;
+                armLinkLocked(key, l.q.front().due);
+                armed = true;
+            }
         }
     }
     if (armed)
@@ -465,8 +459,7 @@ ThreadedRuntime::deliverPending(const Pending &p)
     SimNode *dest = nullptr;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (p.to < nodes_.size() && up_[p.to])
-            dest = nodes_[p.to];
+        dest = link_.arrival(p.msg->src, p.to);
     }
     if (dest == nullptr) {
         rm.reg->inc(rm.arrivalDrops);
@@ -485,119 +478,81 @@ ThreadedRuntime::deliverPending(const Pending &p)
 void
 ThreadedRuntime::send(NodeId from, NodeId to, Message msg)
 {
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (from >= nodes_.size() || to >= nodes_.size())
-            fatal("ThreadedRuntime::send: unknown node");
-    }
-    msg.src = from;
-    std::size_t bytes = msg.totalBytes();
-    RtMetricIds &rm = rtMetrics();
-    bool sender_up;
-    bool dropped = false;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        totalBytes_ += bytes;
-        totalMessages_++;
-        byType_.bump(msg.type, bytes);
-        sender_up = up_[from];
-        if (sender_up && cfg_.dropRate > 0 &&
-            rng_.chance(cfg_.dropRate))
-            dropped = true;
-    }
-    rm.reg->inc(rm.sends);
-    rm.reg->inc(rm.bytes, bytes);
-    Tracer *tr = Tracer::active();
-    if (!sender_up || dropped) {
-        rm.reg->inc(rm.drops);
-        if (tr) {
-            double t = nowImpl();
-            tr->messageSpan(msg.type, from, to, bytes, t, t,
-                            SpanKind::Send, SpanStatus::Dropped);
-        }
-        return;
-    }
-    double due;
-    double sendT = nowImpl();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        due = drawDueLocked(from, to, bytes);
-    }
-    if (tr)
-        msg.trace = tr->messageSpan(msg.type, from, to, bytes, sendT,
-                                    due, SpanKind::Send,
-                                    SpanStatus::Ok);
-    auto frame = std::make_shared<const Bytes>(encodeFrame(msg));
-    rm.reg->inc(rm.frameBytes, frame->size());
-    auto shared = std::make_shared<const Message>(std::move(msg));
-    enqueueDelivery(from, to, shared, frame, due);
+    transmit(from, {&to, 1}, std::move(msg), /*fanout=*/false);
 }
 
 void
 ThreadedRuntime::multicast(NodeId from, const std::vector<NodeId> &tos,
                            Message msg)
 {
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (from >= nodes_.size())
-            fatal("ThreadedRuntime::multicast: unknown node");
-        for (NodeId to : tos)
-            if (to >= nodes_.size())
-                fatal("ThreadedRuntime::multicast: unknown node");
-    }
-    if (tos.empty())
-        return;
+    transmit(from, tos, std::move(msg), /*fanout=*/true);
+}
+
+void
+ThreadedRuntime::transmit(NodeId from, std::span<const NodeId> tos,
+                          Message msg, bool fanout)
+{
     msg.src = from;
     std::size_t bytes = msg.totalBytes();
-    RtMetricIds &rm = rtMetrics();
-    bool sender_up;
+    double sendT = nowImpl();
+    bool known;
+    std::size_t drops = 0;
+    std::vector<Pending> legs;
     {
+        // One lock for the whole route decision, so the link model's
+        // draws for one transmission are never interleaved.
         std::lock_guard<std::mutex> lk(mu_);
-        totalBytes_ += bytes * tos.size();
-        totalMessages_ += tos.size();
-        byType_.bump(msg.type, bytes * tos.size());
-        sender_up = up_[from];
+        known = link_.known(from);
+        for (NodeId to : tos)
+            known = known && link_.known(to);
+        if (known && !tos.empty()) {
+            link_.account(msg.type, bytes, tos.size());
+            for (NodeId to : tos) {
+                LinkModel::Leg leg = link_.route(from, to, bytes);
+                if (leg.drop) {
+                    drops++;
+                    continue;
+                }
+                // A duplicate queues behind the original on the same
+                // FIFO link.
+                legs.push_back({{}, {}, sendT + leg.latency, sendT, to});
+                if (leg.duplicate)
+                    legs.push_back(
+                        {{}, {}, sendT + leg.dupLatency, sendT, to});
+            }
+        }
     }
+    if (!known)
+        fatal("ThreadedRuntime: send to or from an unknown node");
+    if (tos.empty())
+        return;
+    RtMetricIds &rm = rtMetrics();
     rm.reg->inc(rm.sends, tos.size());
     rm.reg->inc(rm.bytes, bytes * tos.size());
-    Tracer *tr = Tracer::active();
-    if (!sender_up) {
-        rm.reg->inc(rm.drops, tos.size());
-        if (tr) {
-            double t = nowImpl();
-            tr->messageSpan(msg.type, from,
-                            static_cast<std::uint32_t>(tos.size()),
-                            bytes, t, t, SpanKind::Multicast,
-                            SpanStatus::Dropped);
-        }
-        return;
-    }
-    // One span for the whole fan-out (peer = destination count),
-    // extended to the latest leg's delivery time as legs enqueue —
-    // the same shape the sim network records.
-    std::uint32_t fanoutSpan = 0;
-    double sendT = nowImpl();
-    if (tr) {
+    if (drops > 0)
+        rm.reg->inc(rm.drops, drops);
+    // One span per transmission (a fan-out's peer is its destination
+    // count), ending at the latest leg's delivery — the same shape
+    // the sim network records.
+    if (Tracer *tr = Tracer::active()) {
+        double end = sendT;
+        for (const Pending &p : legs)
+            end = std::max(end, p.due);
+        std::uint32_t peer =
+            fanout ? static_cast<std::uint32_t>(tos.size()) : tos[0];
         msg.trace = tr->messageSpan(
-            msg.type, from, static_cast<std::uint32_t>(tos.size()),
-            bytes, sendT, sendT, SpanKind::Multicast, SpanStatus::Ok);
-        fanoutSpan = msg.trace.spanId;
+            msg.type, from, peer, bytes, sendT, end,
+            fanout ? SpanKind::Multicast : SpanKind::Send,
+            legs.empty() ? SpanStatus::Dropped : SpanStatus::Ok);
     }
-    // One payload, one frame, shared by every destination — the
-    // loopback analogue of the sim network's pooled flights.
+    if (legs.empty())
+        return;
+    // One payload, one frame, shared by every leg — the loopback
+    // analogue of the sim network's pooled flights.
     auto frame = std::make_shared<const Bytes>(encodeFrame(msg));
-    rm.reg->inc(rm.frameBytes, frame->size() * tos.size());
+    rm.reg->inc(rm.frameBytes, frame->size() * legs.size());
     auto shared = std::make_shared<const Message>(std::move(msg));
-    for (NodeId to : tos) {
-        double due;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            due = drawDueLocked(from, to, bytes);
-        }
-        if (tr)
-            tr->setSpanEnd(fanoutSpan, due);
-        enqueueDelivery(from, to, shared, frame, due);
-    }
+    enqueueDeliveries(from, shared, frame, legs);
 }
 
 bool
@@ -808,57 +763,3 @@ ThreadedRuntime::workerLoop()
 }
 
 } // namespace oceanstore
-
-#else // !OCEANSTORE_THREADED — stubs so the symbol set is stable.
-
-namespace oceanstore {
-
-ThreadedRuntime::ThreadedRuntime(ThreadedConfig cfg) : cfg_(cfg)
-{
-    fatal("ThreadedRuntime requires an OCEANSTORE_THREADED build "
-          "(cmake -DOCEANSTORE_THREADED=ON)");
-}
-
-ThreadedRuntime::~ThreadedRuntime() = default;
-
-void ThreadedRuntime::shutdown() {}
-
-SimTime ThreadedRuntime::now() const { return 0.0; }
-EventId ThreadedRuntime::schedule(SimTime, EventFn) { return 0; }
-EventId ThreadedRuntime::scheduleAt(SimTime, EventFn) { return 0; }
-void ThreadedRuntime::cancel(EventId) {}
-void ThreadedRuntime::post(EventFn) {}
-NodeId ThreadedRuntime::addNode(SimNode *, double, double) { return 0; }
-void ThreadedRuntime::removeNode(NodeId) {}
-std::size_t ThreadedRuntime::nodeCount() const { return 0; }
-void ThreadedRuntime::send(NodeId, NodeId, Message) {}
-void ThreadedRuntime::multicast(NodeId, const std::vector<NodeId> &,
-                                Message)
-{
-}
-double ThreadedRuntime::latency(NodeId, NodeId) const { return 0.0; }
-double ThreadedRuntime::distance(NodeId, NodeId) const { return 0.0; }
-double ThreadedRuntime::xOf(NodeId) const { return 0.0; }
-double ThreadedRuntime::yOf(NodeId) const { return 0.0; }
-void ThreadedRuntime::setDown(NodeId) {}
-void ThreadedRuntime::setUp(NodeId) {}
-bool ThreadedRuntime::isUp(NodeId) const { return false; }
-std::uint64_t ThreadedRuntime::totalBytes() const { return 0; }
-std::uint64_t ThreadedRuntime::totalMessages() const { return 0; }
-std::size_t ThreadedRuntime::inFlight() const { return 0; }
-std::uint64_t ThreadedRuntime::mixSeed(std::uint64_t) const
-{
-    return 0;
-}
-std::uint64_t ThreadedRuntime::uniqueStamp() const { return 0; }
-RuntimeStats ThreadedRuntime::stats() const { return RuntimeStats{}; }
-bool ThreadedRuntime::runUntil(const std::function<bool()> &, SimTime)
-{
-    return false;
-}
-void ThreadedRuntime::advance(SimTime) {}
-void ThreadedRuntime::execute(const std::function<void()> &) {}
-
-} // namespace oceanstore
-
-#endif // OCEANSTORE_THREADED

@@ -9,11 +9,13 @@
  *    deliveries and posted tasks;
  *  - a hashed timer wheel (fixed tick, slot = due-tick modulo wheel
  *    size) provides schedule/cancel without a global priority queue;
- *  - an in-process loopback transport models per-link latency from
- *    the same geometric positions the sim uses, with one FIFO queue
- *    per (src, dst) link so two sends on a link can never reorder,
- *    and socket-ready framing (runtime/framing.h) encoded at send
- *    and decoded + CRC-verified at delivery;
+ *  - an in-process loopback transport takes every link decision
+ *    (latency, drops, faults, liveness, partitions, accounting) from
+ *    the LinkModel the sim's Network uses, and carries the decided
+ *    legs on one FIFO queue per (src, dst) link so two sends on a
+ *    link can never reorder, with socket-ready framing
+ *    (runtime/framing.h) encoded at send and decoded + CRC-verified
+ *    at delivery;
  *  - every protocol callback runs on the runtime's *strand*: workers
  *    acquire a single strand mutex around handlers, timers and
  *    execute() sections, so protocol objects written for the
@@ -30,52 +32,44 @@
  * Determinism caveat: timers fire on wheel-tick boundaries of real
  * time and thread interleavings vary run to run, so the threaded
  * backend makes no replay guarantee.  Seeded decisions (latency
- * jitter, mixSeed) remain reproducible; ordering does not.
+ * jitter, drops, faults, mixSeed) remain reproducible; ordering does
+ * not.
  */
 
 #ifndef OCEANSTORE_RUNTIME_THREADED_RUNTIME_H
 #define OCEANSTORE_RUNTIME_THREADED_RUNTIME_H
 
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <vector>
-
-#ifdef OCEANSTORE_THREADED
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
-#endif
+#include <vector>
 
 #include "runtime/runtime.h"
+#include "sim/link_model.h"
 #include "util/bytes.h"
-#include "util/random.h"
-#include "util/stats.h"
 
 namespace oceanstore {
 
-/** Tunables for the threaded backend. */
-struct ThreadedConfig
+/**
+ * Tunables for the threaded backend: the link knobs with loopback
+ * defaults (the seed also derives mixSeed), plus the worker pool and
+ * the timer wheel.
+ */
+struct ThreadedConfig : LinkConfig
 {
+    ThreadedConfig() : LinkConfig(loopbackLinkDefaults) {}
+
     /** Worker threads servicing the task queue. */
     unsigned workers = 4;
     /** Timer-wheel tick (seconds of wall time). */
     double tick = 0.0005;
-    /** Loopback link latency floor, seconds (wall). */
-    double baseLatency = 0.0003;
-    /** Extra latency per unit of geometric distance, seconds. */
-    double latencyPerUnit = 0.002;
-    /** Link bandwidth in bytes/second (0 = infinite). */
-    double bandwidth = 0.0;
-    /** Fractional latency jitter (uniform +/-). */
-    double jitter = 0.0;
-    /** Probability an individual message is silently dropped. */
-    double dropRate = 0.0;
-    /** Seed for jitter/drop draws and mixSeed derivation. */
-    std::uint64_t seed = 0x7468726eull;
 };
 
 /** Runtime implementation over real threads and wall-clock time. */
@@ -130,6 +124,10 @@ class ThreadedRuntime final : public Runtime
     void setDown(NodeId n) override;
     void setUp(NodeId n) override;
     bool isUp(NodeId n) const override;
+    void setPartition(NodeId n, int partition) override;
+    void healPartitions() override;
+    void heal(int a, int b) override;
+    void setFaultInjector(FaultHook *hook) override;
     std::uint64_t totalBytes() const override;
     std::uint64_t totalMessages() const override;
     std::size_t inFlight() const override;
@@ -145,7 +143,6 @@ class ThreadedRuntime final : public Runtime
     void advance(SimTime seconds) override;
     void execute(const std::function<void()> &fn) override;
 
-#ifdef OCEANSTORE_THREADED
   private:
     /** One queued (encoded, latency-stamped) delivery on a link. */
     struct Pending
@@ -207,14 +204,16 @@ class ThreadedRuntime final : public Runtime
     EventId scheduleLocked(double when, EventFn fn,
                            bool profile = true);
     void armLinkLocked(std::uint64_t key, double due);
-    double latencyLocked(NodeId a, NodeId b) const;
-    /** Draw the jittered delivery deadline for one leg (consumes
-     *  rng_ exactly once per jittered link, traced or not). */
-    double drawDueLocked(NodeId from, NodeId to, std::size_t bytes);
-    void enqueueDelivery(NodeId from, NodeId to,
-                         const std::shared_ptr<const Message> &msg,
-                         const std::shared_ptr<const Bytes> &frame,
-                         double due);
+    /** send() and multicast(): account, route and queue every leg
+     *  under two acquisitions of mu_. */
+    void transmit(NodeId from, std::span<const NodeId> tos,
+                  Message msg, bool fanout);
+    /** Queue every decided leg (@p msg and @p frame shared by all)
+     *  of one transmission under a single lock. */
+    void enqueueDeliveries(NodeId from,
+                           const std::shared_ptr<const Message> &msg,
+                           const std::shared_ptr<const Bytes> &frame,
+                           std::vector<Pending> &legs);
     void drainLink(std::uint64_t key);
     void deliverPending(const Pending &p);
     void runOnStrand(const std::function<void()> &fn);
@@ -225,8 +224,8 @@ class ThreadedRuntime final : public Runtime
     ThreadedConfig cfg_;
     std::chrono::steady_clock::time_point start_;
 
-    /** Guards every mutable member below (queues, wheel, registry,
-     *  counters, rng).  Never held while running user callbacks. */
+    /** Guards every mutable member below (queues, wheel, link
+     *  model).  Never held while running user callbacks. */
     mutable std::mutex mu_;
     std::condition_variable workCv_;
     std::condition_variable timerCv_;
@@ -237,16 +236,10 @@ class ThreadedRuntime final : public Runtime
     std::atomic<std::thread::id> strandOwner_{};
     mutable std::atomic<std::uint64_t> stamp_{0};
 
-    Rng rng_;
-    std::vector<SimNode *> nodes_;
-    std::vector<std::pair<double, double>> pos_;
-    std::vector<bool> up_;
-    std::uint64_t totalBytes_ = 0;
-    std::uint64_t totalMessages_ = 0;
+    LinkModel link_;
     std::size_t inFlight_ = 0;
     /** Bytes sitting in link queues right now (guarded by mu_). */
     std::uint64_t linkQueuedBytes_ = 0;
-    Counters byType_;
 
     /** Strand callbacks completed since start. */
     std::atomic<std::uint64_t> tasksRun_{0};
@@ -267,10 +260,6 @@ class ThreadedRuntime final : public Runtime
 
     std::thread timerThread_;
     std::vector<std::thread> workers_;
-#else
-  private:
-    ThreadedConfig cfg_;
-#endif
 };
 
 } // namespace oceanstore

@@ -1,11 +1,8 @@
 #include "sim/network.h"
 
-#include <cmath>
-
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "sim/fault.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -43,44 +40,8 @@ netMetrics()
 } // namespace
 
 Network::Network(Simulator &sim, NetworkConfig cfg)
-    : sim_(sim), cfg_(cfg), rng_(cfg.seed)
+    : LinkModel(cfg), sim_(sim)
 {
-}
-
-NodeId
-Network::addNode(SimNode *node, double x, double y)
-{
-    NodeId id = static_cast<NodeId>(nodes_.size());
-    nodes_.push_back(node);
-    pos_.emplace_back(x, y);
-    up_.push_back(true);
-    partition_.push_back(0);
-    return id;
-}
-
-void
-Network::removeNode(NodeId id)
-{
-    if (id < nodes_.size())
-        nodes_[id] = nullptr;
-}
-
-double
-Network::distance(NodeId a, NodeId b) const
-{
-    OS_DCHECK(a < pos_.size() && b < pos_.size(),
-              "Network::distance: bad node id");
-    double dx = pos_[a].first - pos_[b].first;
-    double dy = pos_[a].second - pos_[b].second;
-    return std::sqrt(dx * dx + dy * dy);
-}
-
-double
-Network::latency(NodeId a, NodeId b) const
-{
-    if (a == b)
-        return 0.0;
-    return cfg_.baseLatency + cfg_.latencyPerUnit * distance(a, b);
 }
 
 std::uint32_t
@@ -107,22 +68,6 @@ Network::releaseFlight(std::uint32_t flight)
         fl.msg = Message(); // drop the payload eagerly
         freeFlights_.push_back(flight);
     }
-}
-
-double
-Network::deliveryLatency(NodeId from, NodeId to, std::size_t bytes)
-{
-    double lat = latency(from, to);
-    if (cfg_.jitter > 0)
-        lat *= 1.0 + rng_.uniform(-cfg_.jitter, cfg_.jitter);
-    if (cfg_.bandwidth > 0)
-        lat += static_cast<double>(bytes) / cfg_.bandwidth;
-
-    // Local delivery still takes a scheduling step to avoid unbounded
-    // recursion in protocols that self-send.
-    if (lat <= 0)
-        lat = 1e-6;
-    return lat;
 }
 
 void
@@ -179,8 +124,7 @@ Network::deliver(std::uint32_t flight, NodeId to)
     NetMetricIds &nm = netMetrics();
     nm.reg->set(nm.inFlight, static_cast<double>(nowInFlight));
     const Message &m = flightMsg(flight);
-    if (nodes_[to] != nullptr && up_[to] &&
-        partition_[m.src] == partition_[to]) {
+    if (SimNode *dest = arrival(m.src, to)) {
         nm.reg->inc(nm.delivered);
         // Make the message's span the ambient causal parent for
         // everything the handler does (nested sends, timers).
@@ -190,7 +134,7 @@ Network::deliver(std::uint32_t flight, NodeId to)
             tr->setCurrent(m.trace);
         // The handler may reentrantly send (allocating new flights);
         // flights_ is a deque so &m stays valid throughout.
-        nodes_[to]->handleMessage(m);
+        dest->handleMessage(m);
         if (traced)
             tr->clearCurrent();
     } else {
@@ -202,106 +146,75 @@ Network::deliver(std::uint32_t flight, NodeId to)
 void
 Network::send(NodeId from, NodeId to, Message msg)
 {
-    if (from >= nodes_.size() || to >= nodes_.size())
+    if (!known(from) || !known(to))
         fatal("Network::send: unknown node");
 
     msg.src = from;
     std::size_t bytes = msg.totalBytes();
-    totalBytes_ += bytes;
-    totalMessages_++;
-    byType_.bump(msg.type, bytes);
+    account(msg.type, bytes);
     NetMetricIds &nm = netMetrics();
     nm.reg->inc(nm.sends);
     nm.reg->inc(nm.bytes, bytes);
     Tracer *tr = Tracer::active();
 
-    // A crashed sender cannot transmit.  Dropped transmissions still
-    // get a span (marked Dropped) so retry trees show every attempt.
-    if (!up_[from]) {
-        nm.reg->inc(nm.drops);
-        if (tr)
-            tr->messageSpan(msg.type, from, to,
-                            static_cast<std::uint32_t>(bytes),
-                            sim_.now(), sim_.now(), SpanKind::Send,
-                            SpanStatus::Dropped);
-        return;
-    }
-    if (cfg_.dropRate > 0 && rng_.chance(cfg_.dropRate)) {
-        nm.reg->inc(nm.drops);
-        if (tr)
-            tr->messageSpan(msg.type, from, to,
-                            static_cast<std::uint32_t>(bytes),
-                            sim_.now(), sim_.now(), SpanKind::Send,
-                            SpanStatus::Dropped);
-        return;
-    }
-
-    double lat = deliveryLatency(from, to, bytes);
-    bool dup = false;
-    if (fault_) {
-        auto v = fault_->onSend(from, to, bytes);
-        if (v.drop) {
-            nm.reg->inc(nm.drops);
-            if (tr)
-                tr->messageSpan(msg.type, from, to,
-                                static_cast<std::uint32_t>(bytes),
-                                sim_.now(), sim_.now(), SpanKind::Send,
-                                SpanStatus::Dropped);
-            return;
-        }
-        lat += v.extraDelay;
-        dup = v.duplicate;
-    }
-    // The duplicate's latency is drawn *before* tracing so the rng
+    // Every rng draw happens in route(), before tracing, so the
     // stream is identical whether or not a tracer is attached.
-    double dupLat = 0.0;
-    if (dup) {
-        nm.reg->inc(nm.dup);
-        dupLat = lat + deliveryLatency(from, to, bytes);
+    // Dropped transmissions (crashed sender included) still get a
+    // span marked Dropped so retry trees show every attempt.
+    LinkModel::Leg leg = route(from, to, bytes);
+    if (leg.drop) {
+        nm.reg->inc(nm.drops);
+        if (tr)
+            tr->messageSpan(msg.type, from, to,
+                            static_cast<std::uint32_t>(bytes),
+                            sim_.now(), sim_.now(), SpanKind::Send,
+                            SpanStatus::Dropped);
+        return;
     }
+    if (leg.duplicate)
+        nm.reg->inc(nm.dup);
     if (tr)
         msg.trace = tr->messageSpan(
             msg.type, from, to, static_cast<std::uint32_t>(bytes),
-            sim_.now(), sim_.now() + (dup ? dupLat : lat),
+            sim_.now(),
+            sim_.now() + (leg.duplicate ? leg.dupLatency : leg.latency),
             SpanKind::Send, SpanStatus::Ok);
     std::uint32_t flight = allocFlight(std::move(msg));
-    if (dup) {
+    if (leg.duplicate) {
         // Pin the flight so both copies share one payload slot.
         pinFlight(flight);
-        scheduleDelivery(flight, to, lat);
-        scheduleDelivery(flight, to, dupLat);
+        scheduleDelivery(flight, to, leg.latency);
+        scheduleDelivery(flight, to, leg.dupLatency);
         releaseFlight(flight);
         return;
     }
-    scheduleDelivery(flight, to, lat);
+    scheduleDelivery(flight, to, leg.latency);
 }
 
 void
 Network::multicast(NodeId from, const std::vector<NodeId> &tos,
                    Message msg)
 {
-    if (from >= nodes_.size())
+    if (!known(from))
         fatal("Network::multicast: unknown sender");
     if (tos.empty())
         return;
+    for (NodeId to : tos) {
+        if (!known(to))
+            fatal("Network::multicast: unknown node");
+    }
 
     msg.src = from;
     std::size_t bytes = msg.totalBytes();
     // Every destination is one link crossing, exactly as if sent
     // individually.
-    for (NodeId to : tos) {
-        if (to >= nodes_.size())
-            fatal("Network::multicast: unknown node");
-        totalBytes_ += bytes;
-        totalMessages_++;
-    }
-    byType_.bump(msg.type, bytes * tos.size());
+    account(msg.type, bytes, tos.size());
     NetMetricIds &nm = netMetrics();
     nm.reg->inc(nm.sends, tos.size());
     nm.reg->inc(nm.bytes, bytes * tos.size());
     Tracer *tr = Tracer::active();
 
-    if (!up_[from]) {
+    if (!isUp(from)) {
         nm.reg->inc(nm.drops, tos.size());
         if (tr)
             tr->messageSpan(msg.type, from,
@@ -328,79 +241,22 @@ Network::multicast(NodeId from, const std::vector<NodeId> &tos,
     // cannot recycle it if every destination drops.
     pinFlight(flight);
     for (NodeId to : tos) {
-        if (cfg_.dropRate > 0 && rng_.chance(cfg_.dropRate)) {
+        LinkModel::Leg leg = route(from, to, bytes);
+        if (leg.drop) {
             nm.reg->inc(nm.drops);
             continue;
         }
-        double lat = deliveryLatency(from, to, bytes);
-        if (fault_) {
-            auto v = fault_->onSend(from, to, bytes);
-            if (v.drop) {
-                nm.reg->inc(nm.drops);
-                continue;
-            }
-            lat += v.extraDelay;
-            if (v.duplicate) {
-                nm.reg->inc(nm.dup);
-                double dupLat = lat + deliveryLatency(from, to, bytes);
-                if (tr)
-                    tr->setSpanEnd(fanoutSpan, sim_.now() + dupLat);
-                scheduleDelivery(flight, to, dupLat);
-            }
+        if (leg.duplicate) {
+            nm.reg->inc(nm.dup);
+            if (tr)
+                tr->setSpanEnd(fanoutSpan, sim_.now() + leg.dupLatency);
+            scheduleDelivery(flight, to, leg.dupLatency);
         }
         if (tr)
-            tr->setSpanEnd(fanoutSpan, sim_.now() + lat);
-        scheduleDelivery(flight, to, lat);
+            tr->setSpanEnd(fanoutSpan, sim_.now() + leg.latency);
+        scheduleDelivery(flight, to, leg.latency);
     }
     releaseFlight(flight);
-}
-
-void
-Network::setDown(NodeId n)
-{
-    OS_CHECK(n < up_.size(), "Network::setDown: bad node id ", n);
-    up_[n] = false;
-}
-
-void
-Network::setUp(NodeId n)
-{
-    OS_CHECK(n < up_.size(), "Network::setUp: bad node id ", n);
-    up_[n] = true;
-}
-
-void
-Network::setPartition(NodeId n, int partition)
-{
-    OS_CHECK(n < partition_.size(),
-             "Network::setPartition: bad node id ", n);
-    partition_[n] = partition;
-}
-
-void
-Network::healPartitions()
-{
-    for (auto &p : partition_)
-        p = 0;
-}
-
-void
-Network::heal(int a, int b)
-{
-    if (a == b)
-        return;
-    for (auto &p : partition_) {
-        if (p == b)
-            p = a;
-    }
-}
-
-void
-Network::resetCounters()
-{
-    totalBytes_ = 0;
-    totalMessages_ = 0;
-    byType_.clear();
 }
 
 } // namespace oceanstore

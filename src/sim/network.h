@@ -2,12 +2,13 @@
  * @file
  * Simulated wide-area network.
  *
- * Models point-to-point IP delivery between simulated nodes: latency
- * derived from geometric node positions (plus a per-message jitter and
- * a bandwidth term), byte accounting for every link crossing, message
- * drops, node failures and network partitions.  The OceanStore routing
- * layer (Section 4.3) runs *on top of* this, exactly as the paper's
- * layer runs on top of IP.
+ * Models point-to-point IP delivery between simulated nodes as
+ * simulator events.  Every link decision — latency from geometric
+ * node positions plus jitter and bandwidth, drops, faults, node
+ * failures, partitions and byte accounting — comes from the LinkModel
+ * (sim/link_model.h) the threaded backend shares.  The OceanStore
+ * routing layer (Section 4.3) runs *on top of* this, exactly as the
+ * paper's layer runs on top of IP.
  *
  * Hot path (DESIGN.md section 9): in-flight messages live in a pooled
  * store — the scheduled delivery closure captures only (pool index,
@@ -22,18 +23,14 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
+#include "sim/link_model.h"
 #include "sim/message.h"
 #include "sim/simulator.h"
 #include "util/mutex.h"
-#include "util/random.h"
-#include "util/stats.h"
 
 namespace oceanstore {
-
-class FaultInjector;
 
 /** Interface every simulated protocol endpoint implements. */
 class SimNode
@@ -49,49 +46,18 @@ class SimNode
     virtual void handleMessage(const Message &msg) = 0;
 };
 
-/** Tunables for the network model. */
-struct NetworkConfig
-{
-    /** Fixed per-message one-way latency floor, seconds. */
-    double baseLatency = 0.005;
-    /** Extra latency per unit of geometric distance, seconds. */
-    double latencyPerUnit = 0.100;
-    /** Link bandwidth in bytes/second (0 = infinite). */
-    double bandwidth = 10e6;
-    /** Fractional latency jitter (uniform +/-). */
-    double jitter = 0.05;
-    /** Probability an individual message is silently dropped. */
-    double dropRate = 0.0;
-    /** Seed for jitter/drop randomness. */
-    std::uint64_t seed = 0x6e657477u;
-};
+/** Tunables for the network model (the sim's link defaults). */
+using NetworkConfig = LinkConfig;
 
 /**
- * The simulated network: node registry, positions, delivery and
- * accounting.
+ * The simulated network: the shared LinkModel (registry, geometry,
+ * liveness, partitions, route decisions, accounting) whose decided
+ * legs are delivered as simulator events.
  */
-class Network
+class Network : public LinkModel
 {
   public:
     Network(Simulator &sim, NetworkConfig cfg = {});
-
-    /**
-     * Register a node at geometric position (x, y) in the unit square.
-     * The caller retains ownership of @p node.
-     */
-    NodeId addNode(SimNode *node, double x, double y);
-
-    /**
-     * Detach @p id's endpoint: the slot stays allocated (ids are
-     * stable) but messages arriving for it are dropped like arrivals
-     * at a downed node.  Call from the destructor of any SimNode
-     * that can die before the network — in-flight deliveries hold
-     * the id, not the pointer, and must not touch a freed endpoint.
-     */
-    void removeNode(NodeId id);
-
-    /** Number of registered nodes. */
-    std::size_t size() const { return nodes_.size(); }
 
     /**
      * Send @p msg from @p from to @p to.  Delivery is scheduled after
@@ -112,63 +78,6 @@ class Network
     void multicast(NodeId from, const std::vector<NodeId> &tos,
                    Message msg);
 
-    /** One-way latency between two nodes, without jitter or bandwidth. */
-    double latency(NodeId a, NodeId b) const;
-
-    /** Euclidean distance between two node positions. */
-    double distance(NodeId a, NodeId b) const;
-
-    /** Position accessors. */
-    double xOf(NodeId n) const { return pos_[n].first; }
-    double yOf(NodeId n) const { return pos_[n].second; }
-
-    /** Mark a node crashed; it silently loses all arriving messages. */
-    void setDown(NodeId n);
-
-    /** Bring a crashed node back. */
-    void setUp(NodeId n);
-
-    /** True when the node is up. */
-    bool isUp(NodeId n) const { return up_[n]; }
-
-    /**
-     * Assign a partition id to a node.  Messages are only delivered
-     * between nodes in the same partition.  Default partition is 0.
-     */
-    void setPartition(NodeId n, int partition);
-
-    /** Remove all partitions (everyone back to partition 0). */
-    void healPartitions();
-
-    /**
-     * Heal the split between two partitions: every node in partition
-     * @p b moves to partition @p a, so traffic flows between the two
-     * groups again.  Other partitions are untouched.
-     */
-    void heal(int a, int b);
-
-    /** Remove all partitions; alias of healPartitions(). */
-    void healAll() { healPartitions(); }
-
-    /** Set the global message drop probability. */
-    void setDropRate(double p) { cfg_.dropRate = p; }
-
-    /**
-     * Attach (or with nullptr detach) a fault injector consulted for
-     * every transmission whose sender is alive.  When none is
-     * attached the send path pays exactly one null check.
-     */
-    void setFaultInjector(FaultInjector *f) { fault_ = f; }
-
-    /** The attached fault injector (nullptr when faults are off). */
-    FaultInjector *faultInjector() const { return fault_; }
-
-    /** Total payload+header bytes sent so far. */
-    std::uint64_t totalBytes() const { return totalBytes_; }
-
-    /** Total messages sent so far. */
-    std::uint64_t totalMessages() const { return totalMessages_; }
-
     /** In-flight messages (scheduled, not yet delivered or dropped). */
     std::size_t
     inFlight() const OS_EXCLUDES(mu_)
@@ -176,12 +85,6 @@ class Network
         MutexLock lock(mu_);
         return inFlight_;
     }
-
-    /** Reset the byte/message counters (not node state). */
-    void resetCounters();
-
-    /** Per-message-type byte counters, for protocol cost breakdowns. */
-    const Counters &byteCounters() const { return byType_; }
 
     /** The simulator driving this network. */
     Simulator &sim() { return sim_; }
@@ -203,21 +106,10 @@ class Network
      *  mutated once the last reference is released. */
     const Message &flightMsg(std::uint32_t flight) const
         OS_EXCLUDES(mu_);
-    /** Jitter/bandwidth-adjusted delivery latency; consumes rng. */
-    double deliveryLatency(NodeId from, NodeId to, std::size_t bytes);
     void scheduleDelivery(std::uint32_t flight, NodeId to, double lat);
     void deliver(std::uint32_t flight, NodeId to);
 
     Simulator &sim_;
-    NetworkConfig cfg_;
-    Rng rng_;
-    FaultInjector *fault_ = nullptr;
-    std::vector<SimNode *> nodes_;
-    std::vector<std::pair<double, double>> pos_;
-    std::vector<bool> up_;
-    std::vector<int> partition_;
-    std::uint64_t totalBytes_ = 0;
-    std::uint64_t totalMessages_ = 0;
 
     /** Guards the pooled flight store (Runtime-seam prep); no-op
      *  until OCEANSTORE_THREADED. */
@@ -228,7 +120,6 @@ class Network
      *  reentrantly send (and thus allocate) new flights. */
     std::deque<Flight> flights_ OS_GUARDED_BY(mu_);
     std::vector<std::uint32_t> freeFlights_ OS_GUARDED_BY(mu_);
-    Counters byType_;
 };
 
 } // namespace oceanstore

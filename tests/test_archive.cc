@@ -8,7 +8,7 @@
 #include "archive/archival.h"
 #include "erasure/reed_solomon.h"
 #include "runtime/sim_runtime.h"
-#include "sim/churn.h"
+#include "runtime/churn.h"
 #include "util/stats.h"
 
 namespace oceanstore {
@@ -114,7 +114,7 @@ TEST(Archive, SurvivesMassServerFailure)
     std::vector<NodeId> server_nodes;
     for (std::size_t i = 0; i < fx.sys->size(); i++)
         server_nodes.push_back(fx.sys->server(i).nodeId());
-    ChurnInjector::massFailure(fx.net, server_nodes, 0.4, rng);
+    ChurnInjector::massFailure(fx.rt, server_nodes, 0.4, rng);
 
     auto res = fx.reconstruct(archive, 120.0);
     ASSERT_TRUE(res.has_value());

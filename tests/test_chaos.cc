@@ -49,9 +49,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plaxton/mesh.h"
+#include "runtime/churn.h"
+#include "runtime/fault.h"
 #include "runtime/sim_runtime.h"
-#include "sim/churn.h"
-#include "sim/fault.h"
 #include "sim/topology.h"
 #include "util/bytes.h"
 #include "util/random.h"
@@ -196,7 +196,7 @@ runPbftChaos(std::uint64_t seed)
         {6.0, 14.0,
          {cluster.replica(2).nodeId(), cluster.replica(3).nodeId()}});
     plan.seed = mixSeed(0xfa017u, seed);
-    FaultInjector inj(sim, net, plan);
+    FaultInjector inj(rt, plan);
     inj.arm();
 
     const int kUpdates = 6;
@@ -321,7 +321,7 @@ runMeshChaos(std::uint64_t seed)
     plan.duplicate = 0.02;
     plan.delayJitter = 0.02;
     plan.seed = mixSeed(0xfa017u, seed);
-    FaultInjector inj(sim, net, plan);
+    FaultInjector inj(rt, plan);
     inj.arm();
 
     // Observe -> analyze -> repair: suspicion evicts the node from
@@ -342,7 +342,7 @@ runMeshChaos(std::uint64_t seed)
 
     ChurnConfig ccfg;
     ccfg.seed = mixSeed(0x43485255u, seed);
-    ChurnInjector churn(sim, net, ccfg);
+    ChurnInjector churn(rt, ccfg);
     std::vector<NodeId> downed;
     sim.scheduleAt(10.0,
                    [&] { downed = churn.massFailure(members, 0.10); });
@@ -463,7 +463,7 @@ runArchiveChaos(std::uint64_t seed)
     plan.duplicate = 0.05;
     plan.delayJitter = 0.05;
     plan.seed = mixSeed(0xfa017u, seed);
-    FaultInjector inj(sim, net, plan);
+    FaultInjector inj(rt, plan);
     inj.arm();
 
     std::vector<NodeId> ids;
@@ -483,7 +483,7 @@ runArchiveChaos(std::uint64_t seed)
 
     ChurnConfig ccfg;
     ccfg.seed = mixSeed(0x43485255u, seed);
-    ChurnInjector churn(sim, net, ccfg);
+    ChurnInjector churn(rt, ccfg);
     sim.scheduleAt(5.0, [&] { churn.massFailure(ids, 0.10); });
     sim.scheduleAt(20.0, [&] { churn.massFailure(ids, 0.10); });
     sim.runUntil(30.0);
@@ -587,7 +587,7 @@ runSecondaryChaos(std::uint64_t seed)
     plan.duplicate = 0.05;
     plan.delayJitter = 0.02;
     plan.seed = mixSeed(0xfa017u, seed);
-    FaultInjector inj(sim, net, plan);
+    FaultInjector inj(rt, plan);
     inj.arm();
 
     tier.startAntiEntropy();
@@ -662,7 +662,7 @@ TEST(Chaos, DisabledFaultPlanLeavesTracesUntouched)
         Guid obj = Guid::hashOf("noop-plan-object");
         std::unique_ptr<FaultInjector> inj;
         if (with_injector) {
-            inj = std::make_unique<FaultInjector>(sim, net, FaultPlan{});
+            inj = std::make_unique<FaultInjector>(rt, FaultPlan{});
             inj->arm();
         }
         for (VersionNum v = 1; v <= 3; v++)
@@ -705,7 +705,7 @@ runWorkloadChaos(std::uint64_t seed)
     fplan.duplicate = 0.02;
     fplan.delayJitter = 0.05;
     fplan.seed = mixSeed(0xfa017u, seed);
-    FaultInjector inj(universe.sim(), universe.net(), fplan);
+    FaultInjector inj(universe.rt(), fplan);
     inj.arm();
 
     WorkloadPlan plan;
@@ -791,7 +791,7 @@ runAuditChaos(std::uint64_t seed)
     fplan.drop = 0.05;
     fplan.delayJitter = 0.05;
     fplan.seed = mixSeed(0xfa017u, seed);
-    FaultInjector inj(universe.sim(), universe.net(), fplan);
+    FaultInjector inj(universe.rt(), fplan);
     inj.arm();
 
     WorkloadPlan plan;

@@ -9,8 +9,8 @@
 #include "consistency/secondary.h"
 #include "erasure/reed_solomon.h"
 #include "plaxton/mesh.h"
+#include "runtime/churn.h"
 #include "runtime/sim_runtime.h"
-#include "sim/churn.h"
 #include "sim/topology.h"
 
 namespace oceanstore {
@@ -25,6 +25,7 @@ TEST(Churn, InjectorAlternatesUpDown)
 {
     Simulator sim;
     Network net(sim, {});
+    SimRuntime rt(sim, net);
     Sink sinks[4];
     std::vector<NodeId> nodes;
     for (auto &s : sinks)
@@ -33,7 +34,7 @@ TEST(Churn, InjectorAlternatesUpDown)
     ChurnConfig cfg;
     cfg.meanUptime = 10.0;
     cfg.meanDowntime = 5.0;
-    ChurnInjector churn(sim, net, cfg);
+    ChurnInjector churn(rt, cfg);
     unsigned crashes = 0, recoveries = 0;
     churn.onCrash = [&](NodeId) { crashes++; };
     churn.onRecover = [&](NodeId) { recoveries++; };
@@ -52,12 +53,13 @@ TEST(Churn, MassFailureDownsRequestedFraction)
 {
     Simulator sim;
     Network net(sim, {});
+    SimRuntime rt(sim, net);
     std::vector<Sink> sinks(40);
     std::vector<NodeId> nodes;
     for (auto &s : sinks)
         nodes.push_back(net.addNode(&s, 0.5, 0.5));
     Rng rng(1);
-    auto downed = ChurnInjector::massFailure(net, nodes, 0.25, rng);
+    auto downed = ChurnInjector::massFailure(rt, nodes, 0.25, rng);
     EXPECT_EQ(downed.size(), 10u);
     unsigned down_count = 0;
     for (NodeId n : nodes)
@@ -74,6 +76,7 @@ TEST(Churn, MassFailureAndMassRecoverFireSymmetricCallbacks)
     // back up.
     Simulator sim;
     Network net(sim, {});
+    SimRuntime rt(sim, net);
     std::vector<Sink> sinks(40);
     std::vector<NodeId> nodes;
     for (auto &s : sinks)
@@ -81,7 +84,7 @@ TEST(Churn, MassFailureAndMassRecoverFireSymmetricCallbacks)
 
     ChurnConfig cfg;
     cfg.seed = 17;
-    ChurnInjector churn(sim, net, cfg);
+    ChurnInjector churn(rt, cfg);
     std::vector<NodeId> crashed, recovered;
     churn.onCrash = [&](NodeId n) { crashed.push_back(n); };
     churn.onRecover = [&](NodeId n) { recovered.push_back(n); };
@@ -143,7 +146,7 @@ TEST(Churn, MeshStaysUsableUnderChurnWithPeriodicRepair)
     ChurnConfig ccfg;
     ccfg.meanUptime = 30.0;
     ccfg.meanDowntime = 10.0;
-    ChurnInjector churn(sim, net, ccfg);
+    ChurnInjector churn(rt, ccfg);
     churn.start(churners);
 
     double located = 0, attempts = 0;
@@ -195,7 +198,7 @@ TEST(Churn, ArchiveRepairKeepsDataAliveAcrossWaves)
     // Five waves, each killing 15% of all servers (some already dead)
     // then repairing and recovering the dead for the next round.
     for (int wave = 0; wave < 5; wave++) {
-        auto downed = ChurnInjector::massFailure(net, servers, 0.15,
+        auto downed = ChurnInjector::massFailure(rt, servers, 0.15,
                                                  rng);
         unsigned alive = sys.survivingFragments(archive);
         ASSERT_GE(alive, 8u) << "wave " << wave;

@@ -23,7 +23,8 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "sim/churn.h"
+#include "runtime/churn.h"
+#include "runtime/sim_runtime.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
@@ -132,7 +133,8 @@ runScenario(std::uint64_t seed, Overlay kind)
     ccfg.meanUptime = 8.0;
     ccfg.meanDowntime = 2.0;
     ccfg.seed = seed ^ 0x43485255u;
-    ChurnInjector churn(sim, net, ccfg);
+    SimRuntime rt(sim, net);
+    ChurnInjector churn(rt, ccfg);
     churn.start(ids);
 
     // Seed rumors from a few random nodes.

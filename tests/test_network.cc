@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/fault.h"
+#include "runtime/fault.h"
+#include "runtime/sim_runtime.h"
 #include "sim/network.h"
 
 namespace oceanstore {
@@ -29,12 +30,15 @@ struct NetFixture : public ::testing::Test
         cfg.jitter = 0.0;
         cfg.bandwidth = 0.0; // infinite
         net = std::make_unique<Network>(sim, cfg);
+        rt = std::make_unique<SimRuntime>(sim, *net);
         a = net->addNode(&na, 0.0, 0.0);
         b = net->addNode(&nb, 1.0, 0.0);
     }
 
     Simulator sim;
     std::unique_ptr<Network> net;
+    /** Runtime view of the same pair, for fault injectors. */
+    std::unique_ptr<SimRuntime> rt;
     Sink na, nb;
     NodeId a{}, b{};
 };
@@ -305,8 +309,8 @@ TEST_F(NetFixture, HealMergesTwoPartitionsAndLeavesOthersSplit)
     EXPECT_EQ(messageBody<int>(nb.received[0]), 3);
     EXPECT_TRUE(nc.received.empty());
 
-    // healAll() removes every remaining split.
-    net->healAll();
+    // healPartitions() removes every remaining split.
+    net->healPartitions();
     net->send(a, c, makeMessage("t", 5, 10));
     sim.run();
     ASSERT_EQ(nc.received.size(), 1u);
@@ -342,7 +346,7 @@ TEST_F(NetFixture, FaultInjectorDuplicateDeliversTwiceAndDrains)
 {
     FaultPlan plan;
     plan.duplicate = 1.0;
-    FaultInjector inj(sim, *net, plan);
+    FaultInjector inj(*rt, plan);
     inj.arm();
     net->send(a, b, makeMessage("t", 1, 10));
     EXPECT_EQ(net->inFlight(), 2u); // original + duplicate, one payload
@@ -367,7 +371,7 @@ TEST_F(NetFixture, DestroyedInjectorCancelsPendingPartitionCycles)
     {
         FaultPlan plan;
         plan.partitions.push_back({1.0, 2.0, {b}});
-        FaultInjector inj(sim, *net, plan);
+        FaultInjector inj(*rt, plan);
         inj.arm();
     }
     sim.run(); // cycle events were cancelled: nothing fires
@@ -380,7 +384,7 @@ TEST_F(NetFixture, FaultInjectorDropIsAccountedPerLink)
 {
     FaultPlan plan;
     plan.links.push_back({a, b, 1.0}); // this link always drops
-    FaultInjector inj(sim, *net, plan);
+    FaultInjector inj(*rt, plan);
     inj.arm();
     net->send(a, b, makeMessage("t", 1, 10));
     net->send(b, a, makeMessage("t", 2, 10)); // reverse link is clean

@@ -30,6 +30,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
+#include "runtime/fault.h"
 #include "runtime/framing.h"
 #include "runtime/sim_runtime.h"
 #include "runtime/stats.h"
@@ -220,6 +221,99 @@ TEST_P(RuntimeConformance, DownDestinationLosesMessageButCountsBytes)
         rt().send(a_, b_, makeMessage("t", 2, 10));
     });
     EXPECT_TRUE(drive([&]() { return nb_.received.size() == 1; }));
+}
+
+// ---------------------------------------------------------------------
+// Faults: both backends take every link decision from one LinkModel,
+// so a FaultInjector armed through the Runtime acts the same on each.
+
+TEST_P(RuntimeConformance, FaultDropLosesEverySendAndMulticastLeg)
+{
+    FaultPlan plan;
+    plan.drop = 1.0;
+    FaultInjector inj(rt(), plan);
+    inj.arm();
+    std::uint64_t msgs0 = rt().totalMessages();
+    std::uint64_t bytes0 = rt().totalBytes();
+    rt().execute([&]() {
+        rt().send(a_, b_, makeMessage("t", 1, 10));
+        rt().multicast(a_, {b_, c_, a_}, makeMessage("m", 2, 10));
+    });
+    ASSERT_TRUE(drive([&]() { return rt().inFlight() == 0; }));
+    // Bytes are charged at send time for every leg, lost or not.
+    EXPECT_EQ(rt().totalMessages() - msgs0, 4u);
+    EXPECT_EQ(rt().totalBytes() - bytes0,
+              4u * (10 + messageHeaderBytes));
+
+    // Once disarmed, markers flow on the same links.  Links are
+    // FIFO, so a dropped message would have arrived before them.
+    inj.disarm();
+    rt().execute([&]() {
+        rt().multicast(a_, {b_, c_, a_}, makeMessage("m", 3, 10));
+    });
+    ASSERT_TRUE(drive([&]() {
+        return na_.received.size() == 1 && nb_.received.size() == 1 &&
+               nc_.received.size() == 1;
+    }));
+    EXPECT_EQ(messageBody<int>(na_.received[0]), 3);
+    EXPECT_EQ(messageBody<int>(nb_.received[0]), 3);
+    EXPECT_EQ(messageBody<int>(nc_.received[0]), 3);
+    rt().execute([&]() {
+        EXPECT_EQ(inj.dropped(), 4u);
+        EXPECT_EQ(inj.inspected(), 4u);
+    });
+}
+
+TEST_P(RuntimeConformance, FaultDuplicateDeliversTwiceInLinkOrder)
+{
+    FaultPlan plan;
+    plan.duplicate = 1.0;
+    FaultInjector inj(rt(), plan);
+    inj.arm();
+    rt().execute([&]() {
+        for (int i = 0; i < 8; i++)
+            rt().send(a_, b_, makeMessage("t", i, 64));
+    });
+    ASSERT_TRUE(drive([&]() { return nb_.received.size() == 16; }));
+    ASSERT_TRUE(drive([&]() { return rt().inFlight() == 0; }));
+    // Every message arrives exactly twice; the first copies arrive in
+    // send order, and so do the second copies.
+    std::vector<int> copies(8, 0), first, second;
+    for (const Message &m : nb_.received) {
+        int i = messageBody<int>(m);
+        ASSERT_GE(i, 0);
+        ASSERT_LT(i, 8);
+        (copies[i]++ == 0 ? first : second).push_back(i);
+    }
+    std::vector<int> inOrder{0, 1, 2, 3, 4, 5, 6, 7};
+    EXPECT_EQ(first, inOrder);
+    EXPECT_EQ(second, inOrder);
+    rt().execute([&]() { EXPECT_EQ(inj.duplicated(), 8u); });
+}
+
+TEST_P(RuntimeConformance, PartitionBlocksBothDirectionsUntilHealed)
+{
+    rt().setPartition(b_, 1);
+    rt().execute([&]() {
+        rt().send(a_, b_, makeMessage("t", 1, 10));
+        rt().send(b_, a_, makeMessage("t", 2, 10));
+        rt().send(a_, c_, makeMessage("t", 3, 10)); // same side
+    });
+    ASSERT_TRUE(drive([&]() { return rt().inFlight() == 0; }));
+    EXPECT_TRUE(nb_.received.empty());
+    EXPECT_TRUE(na_.received.empty());
+    ASSERT_EQ(nc_.received.size(), 1u);
+
+    rt().healPartitions();
+    rt().execute([&]() {
+        rt().send(a_, b_, makeMessage("t", 4, 10));
+        rt().send(b_, a_, makeMessage("t", 5, 10));
+    });
+    ASSERT_TRUE(drive([&]() {
+        return nb_.received.size() == 1 && na_.received.size() == 1;
+    }));
+    EXPECT_EQ(messageBody<int>(nb_.received[0]), 4);
+    EXPECT_EQ(messageBody<int>(na_.received[0]), 5);
 }
 
 TEST_P(RuntimeConformance, TimersFireInDeadlineOrder)

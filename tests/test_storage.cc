@@ -22,7 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/universe.h"
-#include "sim/churn.h"
+#include "runtime/churn.h"
 #include "storage/disk.h"
 #include "storage/fault.h"
 #include "storage/log_store.h"
@@ -496,7 +496,7 @@ TEST(StorageUniverse, DiskFullDegradesGracefully)
 TEST(ChurnLifecycle, MassTransitionsRouteThroughStorage)
 {
     Universe uni(durableConfig());
-    ChurnInjector churn(uni.sim(), uni.net(), {});
+    ChurnInjector churn(uni.rt(), {});
     churn.lifecycle = &uni;
 
     std::vector<NodeId> nodes;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+
 #include "core/universe.h"
-#include "sim/churn.h"
+#include "runtime/churn.h"
 
 namespace oceanstore {
 namespace {
@@ -47,10 +51,8 @@ TEST_F(FaultTest, ReadsSurviveWhilePrimaryTierIsPartitioned)
     uni.advance(10.0);
 
     // Partition every primary replica away.
-    for (unsigned r = 0; r < uni.primaryTier().size(); r++) {
-        uni.net().setPartition(uni.primaryTier().replica(r).nodeId(),
-                               1);
-    }
+    for (unsigned r = 0; r < uni.primaryTier().size(); r++)
+        uni.rt().setPartition(uni.primaryTier().replica(r).nodeId(), 1);
 
     // A new write cannot complete...
     bool completed = false;
@@ -67,40 +69,88 @@ TEST_F(FaultTest, ReadsSurviveWhilePrimaryTierIsPartitioned)
     }
 
     // Healing lets the stalled update commit (client retry path).
-    uni.net().healPartitions();
+    uni.rt().healPartitions();
     bool landed = uni.runUntil([&]() { return completed; },
-                               uni.sim().now() + 120.0);
+                               uni.rt().now() + 120.0);
     EXPECT_TRUE(landed);
 }
 
-TEST_F(FaultTest, MinorityPrimaryPartitionCannotCommit)
+/**
+ * The same universe on either Runtime backend.  On the threaded
+ * backend time is wall seconds, so that instance scales PBFT's
+ * timers and the test's waits down by kWallScale to stay within a
+ * ~10 s budget.
+ */
+class FaultOnBackend : public ::testing::TestWithParam<const char *>
+{
+  protected:
+    static constexpr double kWallScale = 0.05;
+
+    void
+    SetUp() override
+    {
+        UniverseConfig cfg = faultConfig();
+        if (std::string(GetParam()) == "threaded") {
+            if (!ThreadedRuntime::available())
+                GTEST_SKIP()
+                    << "threaded backend needs OCEANSTORE_THREADED";
+            cfg.runtime = RuntimeKind::Threaded;
+            cfg.pbft.viewChangeTimeout *= kWallScale;
+            cfg.pbft.clientRetry.firstDelay *= kWallScale;
+            cfg.pbft.clientRetry.maxDelay *= kWallScale;
+            scale_ = kWallScale;
+        }
+        uni_ = std::make_unique<Universe>(cfg);
+        owner_ = uni_->makeUser();
+    }
+
+    /** A wait of @p simSeconds, in this backend's seconds. */
+    double wait(double simSeconds) const { return simSeconds * scale_; }
+
+    std::unique_ptr<Universe> uni_;
+    KeyPair owner_;
+    double scale_ = 1.0;
+};
+
+TEST_P(FaultOnBackend, MinorityPrimaryPartitionCannotCommit)
 {
     // Byzantine safety: a minority of the tier split away from the
     // quorum must not serialize updates.
-    ObjectHandle doc = uni.createObject(owner, "doc");
-    ASSERT_TRUE(uni.writeSync(appendText(doc, "v1", 0)).committed);
+    Universe &uni = *uni_;
+    ObjectHandle doc = uni.createObject(owner_, "doc");
+    ASSERT_TRUE(uni.writeSync(doc.makeAppendUpdate(toBytes("v1"), 0,
+                                                   {1, 1}))
+                    .committed);
 
-    // Split one replica (of n=4, quorum needs 3) plus the client
-    // into partition 1: the client can only reach the minority.
-    uni.net().setPartition(uni.primaryTier().replica(1).nodeId(), 1);
-    uni.net().setPartition(uni.primaryTier().replica(2).nodeId(), 1);
-    uni.net().setPartition(uni.primaryTier().replica(3).nodeId(), 1);
-    // Leader (rank 0) is alone in partition 0 with the client: it can
-    // pre-prepare but can never reach the 2m+1 quorum.
-    bool completed = false;
-    uni.write(appendText(doc, "v2", 1),
+    // Split three replicas (of n=4, quorum needs 3) into partition 1.
+    // The leader (rank 0) is alone in partition 0 with the client:
+    // it can pre-prepare but can never reach the 2m+1 quorum.
+    for (unsigned r = 1; r < 4; r++)
+        uni.rt().setPartition(uni.primaryTier().replica(r).nodeId(), 1);
+    std::atomic<bool> completed{false};
+    uni.write(doc.makeAppendUpdate(toBytes("v2"), 1, {2, 1}),
               [&](WriteResult wr) { completed = wr.completed; });
-    uni.advance(30.0);
+    uni.advance(wait(30.0));
     EXPECT_FALSE(completed);
 
-    // No replica executed the update.
-    for (unsigned r = 0; r < uni.primaryTier().size(); r++)
-        EXPECT_EQ(uni.primaryTier().replica(r).executedCount(), 1u);
+    // Safety: no replica executed the update while split.
+    uni.rt().execute([&]() {
+        for (unsigned r = 0; r < uni.primaryTier().size(); r++)
+            EXPECT_EQ(uni.primaryTier().replica(r).executedCount(), 1u)
+                << "replica " << r;
+    });
 
-    uni.net().healPartitions();
-    uni.runUntil([&]() { return completed; }, uni.sim().now() + 120.0);
-    EXPECT_TRUE(completed);
+    // Liveness: once healed, the client's retries commit the write.
+    uni.rt().healPartitions();
+    EXPECT_TRUE(uni.runUntil([&]() { return completed.load(); },
+                             uni.rt().now() + wait(120.0)));
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, FaultOnBackend,
+                         ::testing::Values("sim", "threaded"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
 
 TEST_F(FaultTest, SecondaryChurnDoesNotLoseCommittedData)
 {
@@ -115,7 +165,7 @@ TEST_F(FaultTest, SecondaryChurnDoesNotLoseCommittedData)
     ChurnConfig ccfg;
     ccfg.meanUptime = 20.0;
     ccfg.meanDowntime = 5.0;
-    ChurnInjector churn(uni.sim(), uni.net(), ccfg);
+    ChurnInjector churn(uni.rt(), ccfg);
     churn.start(servers);
     uni.secondaryTier().startAntiEntropy();
 
@@ -131,12 +181,12 @@ TEST_F(FaultTest, SecondaryChurnDoesNotLoseCommittedData)
 
     // Bring everyone up; anti-entropy converges the stragglers.
     for (NodeId n : servers)
-        uni.net().setUp(n);
+        uni.rt().setUp(n);
     bool converged = uni.runUntil(
         [&]() {
             return uni.secondaryTier().allCommitted(doc.guid(), 6);
         },
-        uni.sim().now() + 300.0);
+        uni.rt().now() + 300.0);
     uni.secondaryTier().stopAntiEntropy();
     EXPECT_TRUE(converged);
 
@@ -157,7 +207,7 @@ TEST_F(FaultTest, ArchivedDataOutlivesEveryFloatingReplica)
     uni.advance(10.0);
 
     for (std::size_t idx : uni.hosts(doc.guid()))
-        uni.net().setDown(uni.secondaryTier().replica(idx).nodeId());
+        uni.rt().setDown(uni.secondaryTier().replica(idx).nodeId());
 
     auto res = uni.restoreSync(archive);
     ASSERT_TRUE(res.success);
