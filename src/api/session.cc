@@ -90,14 +90,28 @@ Session::read(const Guid &obj)
     if (has(SessionGuarantee::MonotonicReads))
         floor = std::max(floor, lastRead(obj));
 
+    Runtime &rt = universe_.rt();
     double waited = 0.0;
     ReadResult rr = universe_.readSync(homeServer_, obj);
     while (rr.found && rr.version < floor && waited < maxWait_) {
         // The located replica is too stale for the session's
-        // guarantees: let propagation run and retry.
-        universe_.advance(0.25);
-        waited += 0.25;
+        // guarantees: let propagation run until it has applied the
+        // floor version, then read again.
+        std::size_t server = rr.servedBy;
+        double start = rt.now();
+        bool applied = universe_.runUntil(
+            [&]() {
+                return universe_.secondaryTier()
+                           .replica(server)
+                           .committedVersion(obj) >= floor;
+            },
+            start + (maxWait_ - waited));
+        waited += rt.now() - start;
         rr = universe_.readSync(homeServer_, obj);
+        // Not applied means the budget ran out or nothing is left to
+        // run (an idle simulation, a stopped runtime): stop waiting.
+        if (!applied)
+            break;
     }
     rr.latency += waited;
 

@@ -60,8 +60,9 @@ struct UpdateEvent
  * server; writes go to the primary tier.  Guarantee enforcement is
  * by *waiting*: when a located replica is too stale to satisfy a
  * guarantee, the session lets the dissemination/epidemic machinery
- * run (bounded by maxWait) and retries, charging the wait to the
- * observed latency.
+ * run until that replica has applied the needed version (bounded by
+ * maxWait) and retries, charging the time waited to the observed
+ * latency.
  */
 class Session
 {

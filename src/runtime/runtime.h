@@ -88,8 +88,9 @@ struct RuntimeStats
     std::size_t workers = 0;
     /** Callbacks (tasks/events) executed since start. */
     std::uint64_t tasksExecuted = 0;
-    /** Fraction of worker capacity spent running callbacks, [0, 1]
-     *  (0 on sim, whose event loop is the caller's thread). */
+    /** Callback time over worker capacity, [0, 1]; on threaded,
+     *  callbacks that runUntil() callers run count too (0 on sim,
+     *  whose event loop is the caller's thread). */
     double workerUtilization = 0.0;
 };
 
@@ -221,9 +222,14 @@ class Runtime
     /**
      * Drive the runtime until @p pred returns true or the clock
      * passes @p deadline (absolute seconds).  On the sim backend
-     * this steps the event loop; on the threaded backend it polls
-     * @p pred on the strand while real time passes.  Returns the
-     * final pred() value.
+     * this steps the event loop.  On the threaded backend the caller
+     * likewise runs queued strand work itself while @p pred is
+     * false, and once the queue is empty blocks while real time
+     * passes: @p pred is re-checked on the strand after every strand
+     * section (callback or execute()), so it must read only state
+     * that strand sections change, and the caller wakes as soon as
+     * it holds, when queued work has nobody else to run it, at the
+     * deadline, or on shutdown.  Returns the final pred() value.
      */
     virtual bool runUntil(const std::function<bool()> &pred,
                           SimTime deadline) = 0;

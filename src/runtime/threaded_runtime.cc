@@ -1,6 +1,7 @@
 #include "runtime/threaded_runtime.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -21,7 +22,7 @@ struct RtMetricIds
     MetricsRegistry *reg;
     MetricsRegistry::Id tasks, timersSet, timersFired, timersCancelled,
         sends, bytes, drops, arrivalDrops, delivered, frameBytes,
-        frameErrors, taskDelay;
+        frameErrors, taskDelay, timerLateness;
 
     RtMetricIds()
         : reg(&MetricsRegistry::global()),
@@ -39,7 +40,11 @@ struct RtMetricIds
           // Enqueue->run latency; the sim backend feeds the same
           // histogram with schedule->fire delays, so one dashboard
           // reads both.
-          taskDelay(reg->histogram("runtime.task_delay", 0.0, 2.5, 50))
+          taskDelay(reg->histogram("runtime.task_delay", 0.0, 2.5, 50)),
+          // Wheel pass time minus the timer's deadline: the
+          // timer-wheel rounding term of a request's latency.
+          timerLateness(
+              reg->histogram("runtime.timer_lateness", 0.0, 0.005, 50))
     {
     }
 };
@@ -62,6 +67,7 @@ linkKey(NodeId from, NodeId to)
 ThreadedRuntime::ThreadedRuntime(ThreadedConfig cfg)
     : cfg_(cfg),
       start_(std::chrono::steady_clock::now()),
+      strandMu_(cfg.tick),
       link_(cfg),
       wheel_(wheelSlots)
 {
@@ -95,6 +101,12 @@ ThreadedRuntime::shutdown()
     for (auto &w : workers_)
         if (w.joinable())
             w.join();
+    // Nothing runs any more: release every blocked runUntil() so it
+    // re-checks its predicate once and returns.
+    std::lock_guard<std::mutex> lk(mu_);
+    halted_ = true;
+    for (Waiter *w : sleepers_)
+        w->cv.notify_one();
 }
 
 double
@@ -107,6 +119,14 @@ ThreadedRuntime::nowImpl() const
 
 SimTime ThreadedRuntime::now() const { return nowImpl(); }
 
+std::chrono::steady_clock::time_point
+ThreadedRuntime::wallAt(double t) const
+{
+    return start_ + std::chrono::duration_cast<
+                        std::chrono::steady_clock::duration>(
+                        std::chrono::duration<double>(t));
+}
+
 std::uint64_t
 ThreadedRuntime::tickOf(double when) const
 {
@@ -115,11 +135,11 @@ ThreadedRuntime::tickOf(double when) const
 }
 
 EventId
-ThreadedRuntime::scheduleLocked(double when, EventFn fn, bool profile)
+ThreadedRuntime::scheduleLocked(double when, EventFn fn, bool profile,
+                                bool &queued)
 {
     EventId id = nextId_++;
     Timer t;
-    t.when = when;
     t.fn = std::move(fn);
     t.alive = std::make_shared<std::atomic<bool>>(true);
     t.scheduledAt = nowImpl();
@@ -135,10 +155,33 @@ ThreadedRuntime::scheduleLocked(double when, EventFn fn, bool profile)
         if (const PhaseProfiler *pp = PhaseProfiler::active())
             t.label = pp->currentLabel();
     }
-    std::size_t slot = tickOf(when) % wheelSlots;
     aliveOf_.emplace(id, t.alive);
-    wheel_[slot].emplace(id, std::move(t));
-    slotOf_.emplace(id, slot);
+    queued = when <= t.scheduledAt;
+    if (queued) {
+        // Already due (a zero-delay timer, an instant link drain):
+        // it fires now, straight onto tasks_.  A trip through the
+        // wheel would only add a hand-off to the timer thread and
+        // back, and that thread's wake-up jitter, to the request.
+        RtMetricIds &rm = rtMetrics();
+        rm.reg->observe(rm.timerLateness, t.scheduledAt - when);
+        rm.reg->inc(rm.timersFired);
+        tasks_.push_back(toTask(id, t, t.scheduledAt));
+        return id;
+    }
+    // Due before the timer thread's next planned pass: pull that
+    // pass in to the deadline and wake the thread to re-plan its
+    // sleep.
+    if (when < nextPass_) {
+        nextPass_ = when;
+        timerWake_ = true;
+    }
+    // A deadline behind the last pass goes in the slot that pass
+    // left off at, which the next pass visits first; in its own
+    // tick's slot it would sit unseen for a whole rotation.
+    std::size_t slot = std::max(tickOf(when), lastTick_) % wheelSlots;
+    wheel_[slot].emplace(std::make_pair(when, id), std::move(t));
+    occupied_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    slotOf_.emplace(id, std::make_pair(slot, when));
     return id;
 }
 
@@ -147,12 +190,17 @@ ThreadedRuntime::schedule(SimTime delay, EventFn fn)
 {
     double when = nowImpl() + std::max(delay, 0.0);
     EventId id;
+    bool queued, wake;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        id = scheduleLocked(when, std::move(fn));
+        id = scheduleLocked(when, std::move(fn), /*profile=*/true, queued);
+        if (queued)
+            handOffLocked(/*now=*/false);
+        wake = timerWake_;
     }
     rtMetrics().reg->inc(rtMetrics().timersSet);
-    timerCv_.notify_one();
+    if (wake)
+        timerCv_.notify_one();
     return id;
 }
 
@@ -181,7 +229,10 @@ ThreadedRuntime::cancel(EventId id)
         }
         auto it = slotOf_.find(id);
         if (it != slotOf_.end()) {
-            wheel_[it->second].erase(id);
+            auto [slot, when] = it->second;
+            wheel_[slot].erase({when, id});
+            if (wheel_[slot].empty())
+                occupied_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
             slotOf_.erase(it);
         }
     }
@@ -199,11 +250,58 @@ ThreadedRuntime::post(EventFn fn)
         t.ctx = tr->current();
     if (const PhaseProfiler *pp = PhaseProfiler::active())
         t.label = pp->currentLabel();
+    bool wake;
     {
         std::lock_guard<std::mutex> lk(mu_);
         tasks_.push_back(std::move(t));
+        handOffLocked(/*now=*/false);
+        wake = timerWake_;
     }
-    workCv_.notify_one();
+    if (wake)
+        timerCv_.notify_one();
+}
+
+bool
+ThreadedRuntime::attendedLocked() const
+{
+    // An awake worker or a helping runUntil() caller re-checks
+    // tasks_ before it sleeps or returns.
+    return helping_ > 0 || idle_ < cfg_.workers;
+}
+
+void
+ThreadedRuntime::handOffLocked(bool now)
+{
+    if (tasks_.empty() || attendedLocked())
+        return;
+    // A runUntil() caller asleep on an empty queue is blocked anyway:
+    // it runs the work itself, as it does the work it queued.
+    if (!sleepers_.empty()) {
+        Waiter *w = sleepers_.back();
+        sleepers_.pop_back();
+        w->help = true;
+        helping_++;
+        w->cv.notify_one();
+        return;
+    }
+    if (now) {
+        workCv_.notify_one();
+        return;
+    }
+    // Work a client thread queued, or left behind when its wait
+    // ended: that thread usually comes straight back through
+    // runUntil() and runs it there, so waking a worker now would
+    // only add a thread hand-off (and its wake-up jitter) to the
+    // request.  The timer thread wakes one if the work still sits
+    // unattended a tick from now.
+    if (unattendedAt_ != noPass)
+        return;
+    unattendedAt_ = nowImpl();
+    backstops_++;
+    if (unattendedAt_ + cfg_.tick < nextPass_) {
+        nextPass_ = unattendedAt_ + cfg_.tick;
+        timerWake_ = true;
+    }
 }
 
 NodeId
@@ -346,9 +444,8 @@ ThreadedRuntime::stats() const
         std::lock_guard<std::mutex> lk(mu_);
         s.strandQueueDepth = tasks_.size();
         s.timersPending = slotOf_.size();
-        for (const auto &bucket : wheel_)
-            if (!bucket.empty())
-                s.wheelSlotsOccupied++;
+        for (std::uint64_t bits : occupied_)
+            s.wheelSlotsOccupied += std::popcount(bits);
         for (const auto &kv : links_)
             if (!kv.second.q.empty())
                 s.linksActive++;
@@ -372,7 +469,8 @@ ThreadedRuntime::enqueueDeliveries(
     NodeId from, const std::shared_ptr<const Message> &msg,
     const std::shared_ptr<const Bytes> &frame, std::vector<Pending> &legs)
 {
-    bool armed = false;
+    bool wake;
+    bool posted = false;
     {
         std::lock_guard<std::mutex> lk(mu_);
         for (Pending &p : legs) {
@@ -387,23 +485,30 @@ ThreadedRuntime::enqueueDeliveries(
             // subsequent queue head; only an idle link arms here.
             if (!l.armed) {
                 l.armed = true;
-                armLinkLocked(key, l.q.front().due);
-                armed = true;
+                posted |= armLinkLocked(key, l.q.front().due);
             }
         }
+        if (posted)
+            handOffLocked(/*now=*/false);
+        wake = timerWake_;
     }
-    if (armed)
+    if (wake)
         timerCv_.notify_one();
 }
 
-void
+bool
 ThreadedRuntime::armLinkLocked(std::uint64_t key, double due)
 {
-    // profile=false: the drain timer is transport plumbing; phase
+    // profile=false: the drain is transport plumbing; phase
     // attribution happens once per delivery in deliverPending, the
     // way the sim attributes each delivery event exactly once.
-    scheduleLocked(due, [this, key] { drainLink(key); },
-                   /*profile=*/false);
+    // A drain due within instantLag (instant delivery) fires now.
+    double t = nowImpl();
+    bool queued;
+    scheduleLocked(due <= t + instantLag ? t : due,
+                   [this, key] { drainLink(key); }, /*profile=*/false,
+                   queued);
+    return queued;
 }
 
 void
@@ -415,14 +520,18 @@ ThreadedRuntime::drainLink(std::uint64_t key)
     for (;;) {
         Pending p;
         {
-            std::lock_guard<std::mutex> lk(mu_);
+            std::unique_lock<std::mutex> lk(mu_);
             Link &l = links_[key];
             if (l.q.empty()) {
                 l.armed = false;
                 return;
             }
-            if (l.q.front().due > nowImpl() + 1e-9) {
+            if (l.q.front().due > nowImpl() + instantLag) {
                 armLinkLocked(key, l.q.front().due);
+                bool wake = timerWake_;
+                lk.unlock();
+                if (wake)
+                    timerCv_.notify_one();
                 return;
             }
             p = std::move(l.q.front());
@@ -559,26 +668,79 @@ bool
 ThreadedRuntime::runUntil(const std::function<bool()> &pred,
                           SimTime deadline)
 {
-    // Polling from a strand callback can never succeed: the
-    // reentrant execute keeps the strand held, so the completion
-    // task that would satisfy pred cannot run — the call would spin
-    // until the deadline.  Fail fast instead: sync wrappers
-    // (readSync/writeSync/restoreSync) must only be called from
-    // client threads, never from runtime callbacks.
+    // Waiting from a strand callback can never succeed: the strand
+    // stays held, so the completion task that would satisfy pred
+    // cannot run — the call would block until the deadline.  Fail
+    // fast instead: sync wrappers (readSync/writeSync/restoreSync)
+    // must only be called from client threads, never from runtime
+    // callbacks.
     OS_CHECK(strandOwner_.load(std::memory_order_acquire) !=
                  std::this_thread::get_id(),
              "ThreadedRuntime::runUntil called from a runtime "
              "callback; sync wrappers must not run on the strand");
+    Waiter w;
+    w.pred = &pred;
+    std::unique_lock<std::mutex> lk(mu_);
+    helping_++;
     for (;;) {
+        // Run queued work on this thread until pred holds, the
+        // deadline passes or the queue is empty: the caller is
+        // blocked anyway, and work it runs itself costs no thread
+        // hand-off.
+        unattendedAt_ = noPass;
+        lk.unlock();
         bool ok = false;
-        execute([&] { ok = pred(); });
+        execute([&] {
+            std::erase(waiters_, &w);
+            while (!(ok = pred()) && nowImpl() <= deadline &&
+                   runNextTask()) {
+            }
+            if (!ok)
+                waiters_.push_back(&w);
+        });
+        lk.lock();
+        helping_--;
+        // Work still queued (the tail of the request, or another
+        // caller's) goes to whoever is asleep in runUntil, else to a
+        // worker.
+        handOffLocked(/*now=*/false);
+        if (timerWake_)
+            timerCv_.notify_one();
         if (ok)
             return true;
-        if (nowImpl() > deadline)
-            return false;
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(cfg_.tick));
+        // Sleep until a strand section finds pred true (wakeWaiters),
+        // work arrives with nobody to run it (handOffLocked), the
+        // deadline passes, or shutdown() stops all progress.  Each
+        // wait is capped at an hour so a far deadline cannot overflow
+        // the steady clock.
+        sleepers_.push_back(&w);
+        while (!w.done && !w.help && !halted_ && nowImpl() <= deadline)
+            w.cv.wait_until(
+                lk, wallAt(std::min(deadline, nowImpl() + 3600.0)));
+        if (!w.help)
+            std::erase(sleepers_, &w);
+        if (w.done) {
+            // wakeWaiters already deregistered w; a hand-off that
+            // raced it goes to the next in line.
+            if (w.help) {
+                helping_--;
+                handOffLocked(/*now=*/false);
+                if (timerWake_)
+                    timerCv_.notify_one();
+            }
+            return true;
+        }
+        if (!w.help)
+            break; // deadline or shutdown
+        w.help = false; // handOffLocked counted us in helping_
     }
+    lk.unlock();
+    bool ok = false;
+    execute([&] {
+        std::erase(waiters_, &w);
+        ok = pred();
+    });
+    return ok;
 }
 
 void
@@ -597,7 +759,7 @@ ThreadedRuntime::runOnStrand(const std::function<void()> &fn)
         fn(); // reentrant: already on the strand
         return;
     }
-    std::lock_guard<std::mutex> lk(strandMu_);
+    std::lock_guard<StrandLock> lk(strandMu_);
     strandOwner_.store(self, std::memory_order_release);
     // Clear ownership on unwind too: a stale owner id would let this
     // thread's next execute() take the reentrant path without holding
@@ -612,6 +774,25 @@ ThreadedRuntime::runOnStrand(const std::function<void()> &fn)
         }
     } reset{strandOwner_};
     fn();
+    if (!waiters_.empty())
+        wakeWaiters();
+}
+
+void
+ThreadedRuntime::wakeWaiters()
+{
+    for (auto it = waiters_.begin(); it != waiters_.end();) {
+        Waiter *w = *it;
+        if (!(*w->pred)()) {
+            ++it;
+            continue;
+        }
+        it = waiters_.erase(it);
+        // Notify under mu_: w may be gone once it is released.
+        std::lock_guard<std::mutex> lk(mu_);
+        w->done = true;
+        w->cv.notify_one();
+    }
 }
 
 void
@@ -623,44 +804,70 @@ ThreadedRuntime::execute(const std::function<void()> &fn)
 void
 ThreadedRuntime::timerLoop()
 {
+    RtMetricIds &rm = rtMetrics();
     std::unique_lock<std::mutex> lk(mu_);
     while (!stop_) {
         double t = nowImpl();
+        if (t < nextPass_) {
+            timerWake_ = false;
+            auto woken = [this] { return stop_ || timerWake_; };
+            if (nextPass_ == noPass)
+                timerCv_.wait(lk, woken);
+            else
+                timerCv_.wait_until(lk, wallAt(nextPass_), woken);
+            continue;
+        }
         std::uint64_t cur = tickOf(t);
         // Visit every slot whose tick came due since the last pass,
         // *including* the current tick's slot again (a zero-delay
         // timer lands in it while lastTick_ == cur); a long sleep
-        // visits each slot at most once.
+        // visits each slot at most once.  Within a slot, entries are
+        // in deadline order, so the scan stops at the first timer
+        // not yet due: later in this tick, or a later rotation.
         std::uint64_t span = std::min<std::uint64_t>(
             cur - lastTick_ + 1, wheelSlots);
         std::vector<std::pair<std::pair<double, EventId>, Task>>
             due;
         for (std::uint64_t i = 0; i < span; i++) {
-            std::size_t slot =
-                (lastTick_ + i) % wheelSlots;
+            std::size_t slot = (lastTick_ + i) % wheelSlots;
             auto &bucket = wheel_[slot];
-            for (auto it = bucket.begin(); it != bucket.end();) {
-                if (tickOf(it->second.when) <= cur) {
-                    Task task;
-                    task.fn = std::move(it->second.fn);
-                    task.ctx = it->second.ctx;
-                    task.alive = std::move(it->second.alive);
-                    task.timerId = it->first;
-                    task.scheduledAt = it->second.scheduledAt;
-                    task.enqueuedAt = t;
-                    task.label = it->second.label;
-                    task.profile = it->second.profile;
-                    due.emplace_back(
-                        std::make_pair(it->second.when, it->first),
-                        std::move(task));
-                    slotOf_.erase(it->first);
-                    it = bucket.erase(it);
-                } else {
-                    ++it;
-                }
+            for (auto it = bucket.begin();
+                 it != bucket.end() && it->first.first <= t;
+                 it = bucket.erase(it)) {
+                auto [when, id] = it->first;
+                rm.reg->observe(rm.timerLateness, t - when);
+                due.emplace_back(it->first, toTask(id, it->second, t));
+                slotOf_.erase(id);
             }
+            if (bucket.empty())
+                occupied_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
         }
         lastTick_ = cur;
+        // Backstop for work client threads queued or left behind: if
+        // no runUntil() caller has come back for it within a tick,
+        // a worker runs it.
+        if (unattendedAt_ != noPass && t >= unattendedAt_ + cfg_.tick) {
+            unattendedAt_ = noPass;
+            handOffLocked(/*now=*/true);
+        }
+        // Plan the next pass at the earliest deadline left on the
+        // wheel (each slot's first entry is its earliest) or of the
+        // backstop, or none: an idle runtime costs no wake-ups.
+        // While clients keep starting the backstop clock, look again
+        // a tick later rather than have each start wake this thread.
+        bool busy = backstops_ != backstopsSeen_;
+        backstopsSeen_ = backstops_;
+        if (unattendedAt_ != noPass)
+            nextPass_ = unattendedAt_ + cfg_.tick;
+        else
+            nextPass_ = busy ? t + cfg_.tick : noPass;
+        for (std::size_t w = 0; w < occupied_.size(); w++)
+            for (std::uint64_t bits = occupied_[w]; bits != 0;
+                 bits &= bits - 1) {
+                std::size_t slot = w * 64 + std::countr_zero(bits);
+                nextPass_ = std::min(nextPass_,
+                                     wheel_[slot].begin()->first.first);
+            }
         if (!due.empty()) {
             // Deterministic tie-break within a batch: fire in
             // (deadline, schedule-order) order like the sim's queue.
@@ -670,13 +877,25 @@ ThreadedRuntime::timerLoop()
                       });
             for (auto &d : due)
                 tasks_.push_back(std::move(d.second));
-            rtMetrics().reg->inc(rtMetrics().timersFired, due.size());
-            workCv_.notify_all();
+            rm.reg->inc(rm.timersFired, due.size());
+            handOffLocked(/*now=*/true);
         }
-        timerCv_.wait_for(
-            lk, std::chrono::duration<double>(cfg_.tick),
-            [this] { return stop_; });
     }
+}
+
+ThreadedRuntime::Task
+ThreadedRuntime::toTask(EventId id, Timer &tm, double now)
+{
+    Task task;
+    task.fn = std::move(tm.fn);
+    task.ctx = tm.ctx;
+    task.alive = std::move(tm.alive);
+    task.timerId = id;
+    task.scheduledAt = tm.scheduledAt;
+    task.enqueuedAt = now;
+    task.label = tm.label;
+    task.profile = tm.profile;
+    return task;
 }
 
 void
@@ -693,21 +912,28 @@ ThreadedRuntime::runTask(Task &task)
     // Restore the causal context captured when the work was queued,
     // exactly as the simulator does around every event callback, and
     // attribute the schedule->run delay to the captured phase
-    // (cancelled timers, skipped above, are never attributed).
+    // (cancelled timers, skipped above, are never attributed).  The
+    // thread's own context is put back afterwards: a runUntil()
+    // caller runs tasks on its own thread.
     Tracer *tr = Tracer::active();
     bool traced = tr && task.ctx.valid();
-    if (traced)
+    TraceContext prevCtx;
+    if (traced) {
+        prevCtx = tr->current();
         tr->setCurrent(task.ctx);
+    }
     PhaseProfiler *pp = task.profile ? PhaseProfiler::active() : nullptr;
+    PhaseProfiler::Label prevLabel = 0;
     if (pp) {
         pp->onEventFired(task.label, nowImpl() - task.scheduledAt);
+        prevLabel = pp->currentLabel();
         pp->setCurrent(task.label);
     }
     task.fn();
     if (pp)
-        pp->setCurrent(0);
+        pp->setCurrent(prevLabel);
     if (traced)
-        tr->clearCurrent();
+        tr->setCurrent(prevCtx);
 }
 
 void
@@ -716,9 +942,14 @@ ThreadedRuntime::workerLoop()
     for (;;) {
         {
             std::unique_lock<std::mutex> lk(mu_);
-            workCv_.wait(lk, [this] {
-                return stop_ || !tasks_.empty();
-            });
+            if (!stop_ && tasks_.empty()) {
+                idle_++;
+                workCv_.wait(lk, [this] {
+                    return stop_ || !tasks_.empty();
+                });
+                idle_--;
+                unattendedAt_ = noPass;
+            }
             if (tasks_.empty()) {
                 if (stop_)
                     return; // drained: graceful exit
@@ -729,37 +960,42 @@ ThreadedRuntime::workerLoop()
         // and then raced for the strand, two queued tasks could run
         // out of queue order, breaking the FIFO guarantees (posted
         // work, same-batch timer order) the conformance suite pins.
-        runOnStrand([this] {
-            Task task;
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                if (tasks_.empty())
-                    return; // another worker drained it first
-                task = std::move(tasks_.front());
-                tasks_.pop_front();
-            }
-            RtMetricIds &rm = rtMetrics();
-            rm.reg->inc(rm.tasks);
-            rm.reg->observe(rm.taskDelay,
-                            nowImpl() - task.enqueuedAt);
-            auto t0 = std::chrono::steady_clock::now();
-            runTask(task);
-            busyNanos_.fetch_add(
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()),
-                std::memory_order_relaxed);
-            tasksRun_.fetch_add(1, std::memory_order_relaxed);
-            if (task.timerId != invalidEventId) {
-                // The callback ran (or was tombstone-skipped); from
-                // here on cancel(timerId) is a no-op by design.
-                std::lock_guard<std::mutex> lk(mu_);
-                aliveOf_.erase(task.timerId);
-            }
-        });
+        runOnStrand([this] { runNextTask(); });
     }
+}
+
+bool
+ThreadedRuntime::runNextTask()
+{
+    Task task;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (tasks_.empty())
+            return false; // another thread drained it first
+        task = std::move(tasks_.front());
+        tasks_.pop_front();
+    }
+    RtMetricIds &rm = rtMetrics();
+    rm.reg->inc(rm.tasks);
+    rm.reg->observe(rm.taskDelay,
+                    nowImpl() - task.enqueuedAt);
+    auto t0 = std::chrono::steady_clock::now();
+    runTask(task);
+    busyNanos_.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<
+                std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()),
+        std::memory_order_relaxed);
+    tasksRun_.fetch_add(1, std::memory_order_relaxed);
+    if (task.timerId != invalidEventId) {
+        // The callback ran (or was tombstone-skipped); from
+        // here on cancel(timerId) is a no-op by design.
+        std::lock_guard<std::mutex> lk(mu_);
+        aliveOf_.erase(task.timerId);
+    }
+    return true;
 }
 
 } // namespace oceanstore

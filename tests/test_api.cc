@@ -1,6 +1,7 @@
 /** @file API-layer tests: sessions, transactions, FS facade. */
 
 #include <algorithm>
+#include <chrono>
 
 #include <gtest/gtest.h>
 
@@ -58,6 +59,39 @@ TEST_F(ApiTest, ReadYourWritesWaitsForPropagation)
     ASSERT_TRUE(rr.found);
     EXPECT_GE(rr.version, 1u);
 }
+
+#ifdef OCEANSTORE_THREADED
+
+TEST(ThreadedSession, ReadYourWritesReadReturnsAsSoonAsTheReplicaCatchesUp)
+{
+    // On wall-clock time a stale first read waits for the serving
+    // replica to apply the write, not for a fixed sleep, so each
+    // read returns well inside 250 ms.
+    UniverseConfig cfg = smallConfig();
+    cfg.runtime = RuntimeKind::Threaded;
+    Universe uni(cfg);
+    KeyPair owner = uni.makeUser();
+    Session session(uni, 3, static_cast<std::uint8_t>(
+                                SessionGuarantee::ReadYourWrites));
+    ObjectHandle h = uni.createObject(owner, "doc");
+    for (VersionNum v = 0; v < 5; v++) {
+        ASSERT_TRUE(session
+                        .write(h.makeAppendUpdate(
+                            toBytes("v" + std::to_string(v)), v,
+                            session.makeTimestamp()))
+                        .committed);
+        auto t0 = std::chrono::steady_clock::now();
+        ReadResult rr = session.read(h.guid());
+        double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        ASSERT_TRUE(rr.found);
+        EXPECT_GE(rr.version, v + 1);
+        EXPECT_LT(wall, 0.1) << "version " << v + 1;
+    }
+}
+
+#endif // OCEANSTORE_THREADED
 
 TEST_F(ApiTest, MonotonicReadsNeverRegress)
 {

@@ -12,7 +12,7 @@
  *
  * Threaded cases use generous wall-clock budgets; predicates that
  * read handler state are evaluated through Runtime::runUntil, which
- * polls on the strand, so no extra synchronization is needed.
+ * checks them on the strand, so no extra synchronization is needed.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +29,7 @@
 #endif
 
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/fault.h"
 #include "runtime/framing.h"
@@ -327,6 +328,25 @@ TEST_P(RuntimeConformance, TimersFireInDeadlineOrder)
     });
     ASSERT_TRUE(drive([&]() { return order.size() == 4; }));
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST_P(RuntimeConformance, TimersNeverFireBeforeTheirDeadline)
+{
+    // Sub-tick delays on the threaded backend: a wheel that rounds
+    // deadlines to its tick would run some of these early.
+    constexpr int kTimers = 8;
+    int fired = 0;
+    bool early = false;
+    for (int i = 0; i < kTimers; i++) {
+        double delay = 0.0001 * (i + 1);
+        double due = rt().now() + delay;
+        rt().schedule(delay, [&, due]() {
+            early = early || rt().now() < due;
+            fired++;
+        });
+        ASSERT_TRUE(drive([&]() { return fired == i + 1; }));
+    }
+    EXPECT_FALSE(early);
 }
 
 TEST_P(RuntimeConformance, CancelledTimerNeverFires)
@@ -630,6 +650,159 @@ TEST(ThreadedTraced, ConcurrentClientsWithTracingAndLiveStats)
     EXPECT_EQ(fin.linkQueuedBytes, 0u);
     EXPECT_GE(fin.tasksExecuted, 1u);
     EXPECT_GT(fin.workerUtilization, 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Waits on the threaded backend: with a coarse 50 ms tick, any wait
+// that rides the tick costs tens of milliseconds, far above
+// scheduling noise, so these bounds hold on a loaded machine.
+
+constexpr double kCoarseTick = 0.05;
+
+ThreadedConfig
+coarseTickCfg()
+{
+    ThreadedConfig cfg;
+    cfg.workers = 2;
+    cfg.seed = 0x5eedu;
+    cfg.tick = kCoarseTick;
+    return cfg;
+}
+
+TEST(ThreadedWaits, ZeroDelayTimerCompletesWithinHalfATick)
+{
+    int fired = 0;
+    ThreadedRuntime rt(coarseTickCfg());
+    for (int round = 0; round < 5; round++) {
+        double t0 = rt.now();
+        rt.schedule(0.0, [&]() { fired++; });
+        ASSERT_TRUE(
+            rt.runUntil([&]() { return fired == round + 1; }, t0 + 5.0));
+        EXPECT_LT(rt.now() - t0, kCoarseTick / 2) << "round " << round;
+    }
+}
+
+TEST(ThreadedWaits, RunUntilReturnsOnCompletionNotOnTheNextTick)
+{
+    int done = 0;
+    double completedAt = 0.0;
+    ThreadedRuntime rt(coarseTickCfg());
+    for (int round = 0; round < 3; round++) {
+        // The work completes a tenth of a tick after the caller
+        // starts waiting: a caller that looked once and then slept a
+        // tick would return most of a tick late.
+        std::thread completer([&]() {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            rt.post([&]() {
+                completedAt = rt.now();
+                done++;
+            });
+        });
+        bool ok = rt.runUntil([&]() { return done == round + 1; },
+                              rt.now() + 5.0);
+        double returnedAt = rt.now();
+        completer.join();
+        ASSERT_TRUE(ok);
+        EXPECT_LT(returnedAt - completedAt, kCoarseTick / 2)
+            << "round " << round;
+    }
+}
+
+TEST(ThreadedWaits, RunUntilReturnsFalseAtItsDeadlineNotBefore)
+{
+    int checks = 0;
+    ThreadedRuntime rt(coarseTickCfg());
+    // Strand work while the caller waits: each section re-checks the
+    // predicate, and none of them may end the wait early.
+    for (int i = 0; i < 4; i++)
+        rt.schedule(0.01 * i, []() {});
+    double deadline = rt.now() + 2 * kCoarseTick;
+    EXPECT_FALSE(rt.runUntil(
+        [&]() {
+            checks++;
+            return false;
+        },
+        deadline));
+    double returnedAt = rt.now();
+    EXPECT_GT(returnedAt, deadline);
+    EXPECT_LT(returnedAt, deadline + 2.0);
+    EXPECT_GE(checks, 2);
+}
+
+TEST(ThreadedWaits, RunUntilRunsQueuedWorkOnTheCallingThread)
+{
+    ThreadedRuntime rt(coarseTickCfg());
+    // Let the workers reach their idle wait first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    for (int round = 0; round < 3; round++) {
+        std::thread::id ranOn;
+        bool done = false;
+        rt.post([&]() {
+            ranOn = std::this_thread::get_id();
+            done = true;
+        });
+        ASSERT_TRUE(rt.runUntil([&]() { return done; }, rt.now() + 5.0));
+        // The waiting caller ran the work itself: no worker hand-off.
+        EXPECT_EQ(ranOn, std::this_thread::get_id()) << "round " << round;
+    }
+}
+
+TEST(ThreadedWaits, WorkQueuedWithNobodyWaitingRunsOnAWorker)
+{
+    ThreadedRuntime rt(coarseTickCfg());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::atomic<bool> done{false};
+    std::atomic<bool> onCaller{false};
+    std::thread::id self = std::this_thread::get_id();
+    double t0 = rt.now();
+    rt.post([&]() {
+        onCaller = std::this_thread::get_id() == self;
+        done = true;
+    });
+    // Nobody calls runUntil: a worker takes the work about a tick
+    // later.
+    while (!done && rt.now() - t0 < 5.0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    double waited = rt.now() - t0;
+    ASSERT_TRUE(done);
+    EXPECT_FALSE(onCaller);
+    EXPECT_LT(waited, 10 * kCoarseTick);
+}
+
+TEST(ThreadedWaits, ShutdownReleasesABlockedRunUntil)
+{
+    ThreadedRuntime rt(coarseTickCfg());
+    std::thread stopper([&]() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        rt.shutdown();
+    });
+    double t0 = rt.now();
+    bool ok = rt.runUntil([]() { return false; }, t0 + 30.0);
+    double waited = rt.now() - t0;
+    stopper.join();
+    EXPECT_FALSE(ok);
+    EXPECT_LT(waited, 5.0);
+}
+
+TEST(ThreadedWaits, ZeroDelayTimersShowSubTickLateness)
+{
+    constexpr int kTimers = 20;
+    MetricsSnapshot before = MetricsRegistry::global().snapshot();
+    int fired = 0;
+    ThreadedRuntime rt(coarseTickCfg());
+    for (int i = 0; i < kTimers; i++) {
+        rt.schedule(0.0, [&]() { fired++; });
+        ASSERT_TRUE(rt.runUntil([&]() { return fired == i + 1; },
+                                rt.now() + 5.0));
+    }
+    rt.shutdown();
+    MetricsSnapshot delta =
+        MetricsRegistry::global().snapshot().deltaFrom(before);
+    auto it = delta.histograms.find("runtime.timer_lateness");
+    ASSERT_NE(it, delta.histograms.end());
+    ASSERT_EQ(it->second.total, static_cast<std::uint64_t>(kTimers));
+    EXPECT_GE(it->second.sum, 0.0);
+    EXPECT_LT(it->second.sum / kTimers, kCoarseTick);
 }
 
 #endif // OCEANSTORE_THREADED
